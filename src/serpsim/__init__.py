@@ -19,10 +19,8 @@ from .analysis import (
 from .combined import (
     PenaltyComponents,
     SimilarityBreakdown,
-    base_score,
     combined_similarity,
     penalty_components,
-    position_boost,
     score_from_components,
 )
 from .dataset_io import (
@@ -92,7 +90,6 @@ __all__ = [
     "SimilarityMatrix",
     "UrlParseError",
     "ValidationError",
-    "base_score",
     "canonicalize",
     "combined_similarity",
     "consistency_series",
@@ -116,7 +113,6 @@ __all__ = [
     "pair_summary",
     "parse_matrix",
     "penalty_components",
-    "position_boost",
     "read_matrix",
     "resolve_many",
     "resolve_redirects",

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import datetime as dt
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .combined import PenaltyComponents, penalty_components, score_from_components
+from .combined import penalty_components, score_from_components
 from .errors import ValidationError
 from .model import DEFAULT_CONFIG, MetricConfig, RankedList, SimilarityMatrix
 
@@ -99,6 +98,27 @@ def _require_engines(dataset: SerpDataset, *engines: str) -> None:
         )
 
 
+def _shared_cells(
+    dataset: SerpDataset, engine_a: str, engine_b: str
+) -> tuple[tuple[dt.date, ...], tuple[str, ...], list[tuple[int, int, RankedList, RankedList]]]:
+    """The date and query axes of an engine pair, and the cells both engines have.
+
+    Axes are the sorted unions of each engine's dates and queries. Each
+    cell is ``(row, col, list_a, list_b)``, in date-major order.
+    """
+    _require_engines(dataset, engine_a, engine_b)
+    days = tuple(sorted(set(dataset.dates(engine_a)) | set(dataset.dates(engine_b))))
+    queries = tuple(sorted(set(dataset.queries(engine_a)) | set(dataset.queries(engine_b))))
+    cells = []
+    for i, day in enumerate(days):
+        for j, query in enumerate(queries):
+            list_a = dataset.get(engine_a, query, day)
+            list_b = dataset.get(engine_b, query, day)
+            if list_a is not None and list_b is not None:
+                cells.append((i, j, list_a, list_b))
+    return days, queries, cells
+
+
 def similarity_matrix(
     dataset: SerpDataset,
     engine_a: str,
@@ -107,19 +127,15 @@ def similarity_matrix(
     *,
     stopwords: frozenset[str] | None = None,
     metric_fn: PairMetric | None = None,
-    max_workers: int | None = None,
 ) -> SimilarityMatrix:
     """Score one engine pair on every (date, query) cell.
 
     Rows are the union of dates, columns the union of queries (both
     sorted); a cell is None when either engine lacks that list. The
     default metric is the combined score; pass ``metric_fn`` to grade
-    the same grid with a baseline metric instead. Results are identical
-    with or without a thread pool.
+    the same grid with a baseline metric instead.
     """
-    _require_engines(dataset, engine_a, engine_b)
-    days = tuple(sorted(set(dataset.dates(engine_a)) | set(dataset.dates(engine_b))))
-    queries = tuple(sorted(set(dataset.queries(engine_a)) | set(dataset.queries(engine_b))))
+    days, queries, cells = _shared_cells(dataset, engine_a, engine_b)
 
     if metric_fn is None:
         def metric_fn(list_a: RankedList, list_b: RankedList) -> float:
@@ -127,22 +143,9 @@ def similarity_matrix(
                 penalty_components(list_a, list_b, stopwords), cfg
             ).score
 
-    cells: list[tuple[int, int, RankedList, RankedList]] = []
-    for i, day in enumerate(days):
-        for j, query in enumerate(queries):
-            list_a = dataset.get(engine_a, query, day)
-            list_b = dataset.get(engine_b, query, day)
-            if list_a is not None and list_b is not None:
-                cells.append((i, j, list_a, list_b))
-
     grid: list[list[float | None]] = [[None] * len(queries) for _ in days]
-    if max_workers and max_workers > 1 and cells:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            scores = list(pool.map(lambda c: metric_fn(c[2], c[3]), cells))
-    else:
-        scores = [metric_fn(list_a, list_b) for _, _, list_a, list_b in cells]
-    for (i, j, _, _), value in zip(cells, scores):
-        grid[i][j] = value
+    for i, j, list_a, list_b in cells:
+        grid[i][j] = metric_fn(list_a, list_b)
 
     return SimilarityMatrix(
         engine_pair=(engine_a, engine_b),
@@ -238,14 +241,10 @@ def impact_sweep(
         if cur <= prev:
             raise ValidationError(f"weight steps must be strictly increasing, got {steps}")
 
-    _require_engines(dataset, engine_a, engine_b)
-    components: list[PenaltyComponents] = []
-    for query in sorted(set(dataset.queries(engine_a)) | set(dataset.queries(engine_b))):
-        for day in sorted(set(dataset.dates(engine_a)) | set(dataset.dates(engine_b))):
-            list_a = dataset.get(engine_a, query, day)
-            list_b = dataset.get(engine_b, query, day)
-            if list_a is not None and list_b is not None:
-                components.append(penalty_components(list_a, list_b, stopwords))
+    _, _, cells = _shared_cells(dataset, engine_a, engine_b)
+    components = [
+        penalty_components(list_a, list_b, stopwords) for _, _, list_a, list_b in cells
+    ]
     if not components:
         raise ValidationError(
             f"no overlapping (query, date) cells for {engine_a} vs {engine_b}"

@@ -37,7 +37,15 @@ from .rank_metrics import (
 from .textsim import load_stopwords
 from .urlnorm import RedirectCache, canonicalize, resolve_redirects
 
-METRIC_CHOICES = ("combined", "footrule", "kendall", "jaro", "jarowinkler")
+#: The rank-only baselines ``--metric`` can select instead of ``combined``.
+BASELINE_METRICS = {
+    "footrule": spearman_footrule_sim,
+    "kendall": kendall_tau_sim,
+    "jaro": jaro_sim,
+    "jarowinkler": jaro_winkler_sim,
+}
+
+METRIC_CHOICES = ("combined", *BASELINE_METRICS)
 
 
 class UsageError(Exception):
@@ -158,19 +166,6 @@ def _load(args: argparse.Namespace, path: str) -> analysis.SerpDataset:
     )
 
 
-def _metric_fn(args: argparse.Namespace):
-    if args.metric == "combined":
-        cfg = _config(args)
-        stopwords = _stopwords(args)
-        return lambda list_a, list_b: combined_similarity(list_a, list_b, cfg, stopwords).score
-    return {
-        "footrule": spearman_footrule_sim,
-        "kendall": kendall_tau_sim,
-        "jaro": jaro_sim,
-        "jarowinkler": jaro_winkler_sim,
-    }[args.metric]
-
-
 def _single_record(args: argparse.Namespace, path: str):
     dataset = _load(args, path)
     keys = list(dataset)
@@ -220,7 +215,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"title_penalty\t{_fmt(breakdown.title_penalty)}")
         print(f"transposition_penalty\t{_fmt(breakdown.transposition_penalty)}")
     else:
-        print(f"score\t{_fmt(_metric_fn(args)(list_a, list_b))}")
+        print(f"score\t{_fmt(BASELINE_METRICS[args.metric](list_a, list_b))}")
     return 0
 
 
@@ -232,8 +227,7 @@ def _matrix_from_args(args: argparse.Namespace) -> SimilarityMatrix:
         args.engine_b,
         _config(args),
         stopwords=_stopwords(args),
-        metric_fn=None if args.metric == "combined" else _metric_fn(args),
-        max_workers=args.jobs,
+        metric_fn=BASELINE_METRICS.get(args.metric),
     )
 
 
@@ -376,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--dataset", required=True, metavar="PATH")
     matrix.add_argument("--engine-a", required=True, metavar="NAME")
     matrix.add_argument("--engine-b", required=True, metavar="NAME")
-    matrix.add_argument("--jobs", type=int, metavar="N", help="scoring threads")
     matrix.add_argument("-o", "--output", metavar="PATH")
     matrix.set_defaults(func=_cmd_matrix)
 
@@ -389,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dataset", metavar="PATH")
         p.add_argument("--engine-a", metavar="NAME")
         p.add_argument("--engine-b", metavar="NAME")
-        p.add_argument("--jobs", type=int, metavar="N", help="scoring threads")
         p.add_argument("-o", "--output", metavar="PATH")
         p.set_defaults(func=handler)
 

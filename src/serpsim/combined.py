@@ -147,40 +147,6 @@ def score_from_components(
     )
 
 
-def base_score(
-    list_a: RankedList,
-    list_b: RankedList,
-    cfg: MetricConfig = DEFAULT_CONFIG,
-    stopwords: frozenset[str] | None = None,
-) -> float:
-    """Penalty-adjusted overlap score, before any position boost."""
-    return score_from_components(penalty_components(list_a, list_b, stopwords), cfg).base_score
-
-
-def position_boost(
-    list_a: RankedList,
-    list_b: RankedList,
-    base: float,
-    cfg: MetricConfig = DEFAULT_CONFIG,
-) -> float:
-    """Bonus for URLs agreeing at the same top-r position in both lists.
-
-    Scaled by (1 - base) so the boosted score stays within [0, 1].
-    """
-    if not -_EPS <= base <= 1 + _EPS:
-        raise ValidationError(f"base score {base} not in [0, 1]")
-    if list_a.n != list_b.n:
-        raise ValidationError(
-            f"lists must be the same length, got {list_a.n} and {list_b.n}"
-        )
-    eligible = sum(
-        cfg.boost_weights[i - 1]
-        for i, (url_a, url_b) in enumerate(zip(list_a.urls(), list_b.urls()), start=1)
-        if i <= cfg.r and url_a == url_b
-    )
-    return eligible * (1.0 - base)
-
-
 def combined_similarity(
     list_a: RankedList,
     list_b: RankedList,

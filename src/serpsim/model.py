@@ -72,12 +72,6 @@ class RankedList:
         """Map each canonical URL to its 1-based rank."""
         return {r.url: r.rank for r in self.results}
 
-    def result_for(self, url: str) -> SearchResult:
-        for r in self.results:
-            if r.url == url:
-                return r
-        raise KeyError(url)
-
 
 @dataclass(frozen=True)
 class MetricConfig:

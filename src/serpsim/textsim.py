@@ -64,11 +64,10 @@ def tokenize(
     """Lowercased term frequencies, minus stopwords and query tokens."""
     if stopwords is None:
         stopwords = default_stopwords()
-    drop = set(stopwords)
-    drop.update(token.lower() for token in _TOKEN_RE.findall(query))
+    query_tokens = set(_TOKEN_RE.findall(query.lower()))
     counts: Counter[str] = Counter()
     for token in _TOKEN_RE.findall(text.lower()):
-        if token not in drop:
+        if token not in stopwords and token not in query_tokens:
             counts[token] += 1
     return counts
 
@@ -94,21 +93,6 @@ def cosine_distance(v1: Counter[str], v2: Counter[str]) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-def field_distance(
-    list_a: RankedList,
-    list_b: RankedList,
-    url: str,
-    field: ContentField,
-    stopwords: frozenset[str] | None = None,
-) -> float:
-    """Cosine distance between one field of the same URL in two lists."""
-    result_a = list_a.result_for(url)
-    result_b = list_b.result_for(url)
-    va = tokenize(getattr(result_a, field), list_a.query, stopwords)
-    vb = tokenize(getattr(result_b, field), list_b.query, stopwords)
-    return cosine_distance(va, vb)
-
-
 def content_penalty(
     list_a: RankedList,
     list_b: RankedList,
@@ -129,8 +113,12 @@ def content_penalty(
         raise ValidationError(
             f"lists answer different queries: {list_a.query!r} vs {list_b.query!r}"
         )
-    common = set(list_a.urls()) & set(list_b.urls())
+    text_a = {r.url: getattr(r, field) for r in list_a.results}
+    text_b = {r.url: getattr(r, field) for r in list_b.results}
     return sum(
-        field_distance(list_a, list_b, url, field, stopwords)
-        for url in sorted(common)
+        cosine_distance(
+            tokenize(text_a[url], list_a.query, stopwords),
+            tokenize(text_b[url], list_b.query, stopwords),
+        )
+        for url in sorted(text_a.keys() & text_b.keys())
     )

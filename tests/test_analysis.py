@@ -82,11 +82,6 @@ class TestSimilarityMatrix:
         assert matrix.cell(D1, "beta query") == 0.0
         assert matrix.cell(D2, "alpha query") == 1.0
 
-    def test_threaded_matches_serial(self, grid_dataset):
-        serial = similarity_matrix(grid_dataset, "x", "y", UNIT)
-        threaded = similarity_matrix(grid_dataset, "x", "y", UNIT, max_workers=4)
-        assert serial.values == threaded.values
-
     def test_unknown_engine_rejected(self, grid_dataset):
         with pytest.raises(ValidationError, match="not in dataset"):
             similarity_matrix(grid_dataset, "x", "nope", UNIT)

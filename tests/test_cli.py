@@ -5,7 +5,15 @@ import sys
 
 import pytest
 
-from serpsim import SerpDataset, load_dataset, write_dataset
+from serpsim import (
+    SerpDataset,
+    format_matrix,
+    kendall_tau_sim,
+    load_dataset,
+    similarity_matrix,
+    spearman_footrule_sim,
+    write_dataset,
+)
 from serpsim.cli import run_cli
 from tests.conftest import make_list
 
@@ -192,15 +200,17 @@ class TestMatrix:
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8").startswith("# pair\tx\ty\n")
 
-    def test_jobs_flag_matches_serial(self, data_dir, capsys):
-        base = [
-            "matrix", "--dataset", str(data_dir / "sample.jsonl"),
-            "--engine-a", "acme", "--engine-b", "cobalt",
-        ]
-        run_cli(base)
-        serial = capsys.readouterr().out
-        run_cli(base + ["--jobs", "4"])
-        assert capsys.readouterr().out == serial
+    @pytest.mark.parametrize(
+        "metric,metric_fn", [("footrule", spearman_footrule_sim), ("kendall", kendall_tau_sim)]
+    )
+    def test_baseline_metric(self, grid_file, capsys, metric, metric_fn):
+        code = run_cli(
+            ["matrix", "--dataset", grid_file, "--engine-a", "x", "--engine-b", "y",
+             "--metric", metric]
+        )
+        assert code == 0
+        expected = similarity_matrix(load_dataset(grid_file), "x", "y", metric_fn=metric_fn)
+        assert capsys.readouterr().out == format_matrix(expected)
 
 
 class TestConsistencyAndSummary:

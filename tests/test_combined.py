@@ -4,11 +4,10 @@ from serpsim import (
     DEFAULT_CONFIG,
     MetricConfig,
     PenaltyComponents,
+    SimilarityBreakdown,
     ValidationError,
-    base_score,
     combined_similarity,
     penalty_components,
-    position_boost,
     score_from_components,
 )
 from tests.conftest import make_list
@@ -114,13 +113,16 @@ class TestScore:
     def test_components_round_trip(self):
         a = make_list("abcdef", engine="e1", flavor="plain")
         b = make_list("fedcba", engine="e2", flavor="alt")
-        comp = penalty_components(a, b)
-        assert score_from_components(comp, UNIT).score == combined_similarity(a, b, UNIT).score
+        from_components = score_from_components(penalty_components(a, b), UNIT)
+        direct = combined_similarity(a, b, UNIT)
+        assert from_components.score == direct.score
+        assert from_components.base_score == direct.base_score
 
     def test_base_score_helper(self):
         a = make_list("abcdef", engine="e1")
         b = make_list("aghijk", engine="e2")
-        assert base_score(a, b, UNIT) == combined_similarity(a, b, UNIT).base_score
+        base = score_from_components(penalty_components(a, b), UNIT).base_score
+        assert base == combined_similarity(a, b, UNIT).base_score
 
     def test_as_dict_round_trips_fields(self):
         a = make_list("abc", engine="e1")
@@ -144,15 +146,23 @@ class TestPositionBoost:
         a = make_list("abcdef", engine="e1", flavor="plain")
         b = make_list("abcghi", engine="e2", flavor="alt")
         breakdown = combined_similarity(a, b, UNIT)
-        assert position_boost(a, b, breakdown.base_score, UNIT) == pytest.approx(
-            breakdown.boost
-        )
+        agreements = [
+            i for i, (url_a, url_b) in enumerate(zip(a.urls(), b.urls()), start=1)
+            if url_a == url_b
+        ]
+        eligible = sum(UNIT.boost_weights[i - 1] for i in agreements if i <= UNIT.r)
+        assert breakdown.boost == eligible * (1 - breakdown.base_score)
 
     def test_zero_when_base_is_one(self):
-        a = make_list("abc", engine="e1")
-        assert position_boost(a, make_list("abc", engine="e2"), 1.0, UNIT) == 0.0
+        breakdown = combined_similarity(
+            make_list("abc", engine="e1"), make_list("abc", engine="e2"), UNIT
+        )
+        assert breakdown.base_score == 1.0
+        assert breakdown.boost == 0.0
 
     def test_base_out_of_range_rejected(self):
-        a = make_list("abc")
         with pytest.raises(ValidationError):
-            position_boost(a, a, 1.5, UNIT)
+            SimilarityBreakdown(
+                common_count=3, snippet_penalty=0.0, title_penalty=0.0,
+                transposition_penalty=0.0, base_score=1.5, boost=0.0, score=1.5,
+            )

@@ -47,11 +47,7 @@ class TestRankedList:
             "https://c.example.com/page",
         )
         assert ranked.positions()["https://b.example.com/page"] == 2
-        assert ranked.result_for("https://c.example.com/page").rank == 3
-
-    def test_result_for_unknown_url(self):
-        with pytest.raises(KeyError):
-            make_list("abc").result_for("https://zz.example.com")
+        assert ranked.positions()["https://c.example.com/page"] == 3
 
     def test_rank_gap_rejected(self):
         with pytest.raises(ValidationError, match="ranks"):

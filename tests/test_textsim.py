@@ -38,6 +38,9 @@ class TestTokenize:
     def test_query_match_is_case_insensitive(self):
         counts = tokenize("Aurora sightings", query="AURORA", stopwords=frozenset())
         assert counts == Counter({"sightings": 1})
+        # "İ".lower() is "i" plus a combining dot, which splits the word in two
+        counts = tokenize("İstanbul travel guide", query="İstanbul", stopwords=frozenset())
+        assert counts == Counter({"travel": 1, "guide": 1})
 
     def test_unicode_words_survive(self):
         counts = tokenize("Škoda Österreich naïve", stopwords=frozenset())
