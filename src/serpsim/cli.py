@@ -155,15 +155,18 @@ def _stopwords(args: argparse.Namespace) -> frozenset[str] | None:
     return load_stopwords(args.stopwords) if args.stopwords else None
 
 
+def _loader_options(args: argparse.Namespace) -> dict:
+    """Keyword arguments shared by ``load_dataset`` and ``import_dataset``."""
+    return {
+        "normalize": args.normalize,
+        "redirect_cache": RedirectCache.from_file(args.redirects) if args.redirects else None,
+        "strict": args.strict,
+        "expected_n": args.top_n,
+    }
+
+
 def _load(args: argparse.Namespace, path: str) -> analysis.SerpDataset:
-    cache = RedirectCache.from_file(args.redirects) if args.redirects else None
-    return dataset_io.load_dataset(
-        path,
-        normalize=args.normalize or cache is not None,
-        redirect_cache=cache,
-        strict=args.strict,
-        expected_n=args.top_n,
-    )
+    return dataset_io.load_dataset(path, **_loader_options(args))
 
 
 def _single_record(args: argparse.Namespace, path: str):
@@ -328,15 +331,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
     mapping = json.loads(Path(args.mapping).read_text(encoding="utf-8"))
     if not isinstance(mapping, dict):
         raise SerpSimError(f"{args.mapping}: mapping must be a JSON object")
-    cache = RedirectCache.from_file(args.redirects) if args.redirects else None
-    dataset = dataset_io.import_dataset(
-        args.input,
-        mapping,
-        normalize=args.normalize or cache is not None,
-        redirect_cache=cache,
-        strict=args.strict,
-        expected_n=args.top_n,
-    )
+    dataset = dataset_io.import_dataset(args.input, mapping, **_loader_options(args))
     _write_or_print(dataset_io.dumps_dataset(dataset), args.output)
     return 0
 

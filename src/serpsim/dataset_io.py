@@ -21,7 +21,7 @@ import datetime as dt
 import io
 import json
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from .analysis import SerpDataset
 from .errors import DatasetError, SerpSimError, ValidationError
@@ -29,6 +29,9 @@ from .model import RankedList, SearchResult, SimilarityMatrix, validate_ranked_l
 from .urlnorm import RedirectCache, canonicalize, resolve_redirects
 
 _MATRIX_PAIR_PREFIX = "# pair"
+
+#: Each list's key -> (line of its first row, its results in input order).
+_Groups = dict[tuple[str, str, dt.date], tuple[int, list[SearchResult]]]
 
 
 def _require(obj: Mapping[str, Any], key: str, kind: type, path: str, lineno: int) -> Any:
@@ -51,35 +54,51 @@ def _parse_date(raw: str, path: str, lineno: int) -> dt.date:
         raise DatasetError(f"bad date {raw!r}: {exc}", path, lineno) from exc
 
 
-def _parse_results(
-    raw: Any,
-    path: str,
-    lineno: int,
-    *,
-    normalize: bool,
-    redirect_cache: RedirectCache | None,
-) -> list[SearchResult]:
-    if not isinstance(raw, list) or not raw:
-        raise DatasetError("field 'results' must be a non-empty array", path, lineno)
-    out: list[SearchResult] = []
-    for item in raw:
-        if not isinstance(item, dict):
-            raise DatasetError("each result must be a JSON object", path, lineno)
-        url = _require(item, "url", str, path, lineno)
-        rank = _require(item, "rank", int, path, lineno)
-        title = item.get("title", "")
-        snippet = item.get("snippet", "")
-        if not isinstance(title, str) or not isinstance(snippet, str):
-            raise DatasetError("title and snippet must be strings", path, lineno)
-        if normalize:
+def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
+    """Stream ``(line number, object)`` for each non-blank line. Only ``\\n``,
+    ``\\r`` and ``\\r\\n`` end a line, so a raw U+2028 or U+0085 stays in its record."""
+    with path.open(encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line.rstrip("\n"))
+            except json.JSONDecodeError as exc:
+                raise DatasetError(f"invalid JSON: {exc}", str(path), lineno) from exc
+            if not isinstance(obj, dict):
+                raise DatasetError("each line must be a JSON object", str(path), lineno)
+            yield lineno, obj
+
+
+def _result(
+    url: str, title: str, snippet: str, rank: int, normalize: bool,
+    redirect_cache: RedirectCache | None, path: str, lineno: int,
+) -> SearchResult:
+    """Build one result, normalizing its URL if asked or if a redirect cache is given."""
+    try:
+        if normalize or redirect_cache is not None:
             url = canonicalize(url)
             if redirect_cache is not None:
                 url = resolve_redirects(url, redirect_cache, "offline")
+        return SearchResult(url=url, title=title, snippet=snippet, rank=rank)
+    except SerpSimError as exc:
+        raise DatasetError(str(exc), path, lineno) from exc
+
+
+def _assemble(
+    groups: _Groups, categories: dict[str, str], depth: int | None, strict: bool, path: str
+) -> SerpDataset:
+    """Dedup, truncate (None: each list's own length) and re-rank every group."""
+    records: dict[tuple[str, str, dt.date], RankedList] = {}
+    for (engine, query, date), (lineno, results) in groups.items():
+        n = len(results) if depth is None else depth
         try:
-            out.append(SearchResult(url=url, title=title, snippet=snippet, rank=rank))
+            records[(engine, query, date)] = validate_ranked_list(
+                results, n, engine=engine, query=query, date=date, strict=strict
+            )
         except ValidationError as exc:
             raise DatasetError(str(exc), path, lineno) from exc
-    return out
+    return SerpDataset(records, categories)
 
 
 def load_dataset(
@@ -92,68 +111,54 @@ def load_dataset(
 ) -> SerpDataset:
     """Load a native JSON Lines dataset.
 
-    ``normalize`` canonicalizes every URL (and resolves redirects when a
-    cache is given) before lists are validated, so near-duplicate URLs
-    collapse. When ``expected_n`` is not given, every list is truncated
-    to the depth of the shortest list so all lists compare at equal
-    length. Errors carry the offending path and line number.
+    ``normalize`` canonicalizes every URL before lists are validated, so
+    near-duplicate URLs collapse; a ``redirect_cache`` implies it and
+    also resolves redirects. When ``expected_n`` is not given, every
+    list is truncated to the depth of the shortest list so all lists
+    compare at equal length. Errors name the file and line.
     """
     path = Path(path)
-    parsed: dict[tuple[str, str, dt.date], tuple[int, list[SearchResult]]] = {}
+    where = str(path)
+    groups: _Groups = {}
     categories: dict[str, str] = {}
-    text = path.read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"invalid JSON: {exc}", str(path), lineno) from exc
-        if not isinstance(obj, dict):
-            raise DatasetError("each line must be a JSON object", str(path), lineno)
-        engine = _require(obj, "engine", str, str(path), lineno)
-        query = _require(obj, "query", str, str(path), lineno)
-        date = _parse_date(_require(obj, "date", str, str(path), lineno), str(path), lineno)
-        results = _parse_results(
-            obj.get("results"),
-            str(path),
-            lineno,
-            normalize=normalize,
-            redirect_cache=redirect_cache,
-        )
-        key = (engine, query, date)
-        if key in parsed:
+    for lineno, obj in _rows(path):
+        engine = _require(obj, "engine", str, where, lineno)
+        query = _require(obj, "query", str, where, lineno)
+        date = _parse_date(_require(obj, "date", str, where, lineno), where, lineno)
+        raw = obj.get("results")
+        if not isinstance(raw, list) or not raw:
+            raise DatasetError("field 'results' must be a non-empty array", where, lineno)
+        results: list[SearchResult] = []
+        for item in raw:
+            if not isinstance(item, dict):
+                raise DatasetError("each result must be a JSON object", where, lineno)
+            url = _require(item, "url", str, where, lineno)
+            rank = _require(item, "rank", int, where, lineno)
+            title = item.get("title", "")
+            snippet = item.get("snippet", "")
+            if not isinstance(title, str) or not isinstance(snippet, str):
+                raise DatasetError("title and snippet must be strings", where, lineno)
+            results.append(
+                _result(url, title, snippet, rank, normalize, redirect_cache, where, lineno)
+            )
+        if (engine, query, date) in groups:
             raise DatasetError(
                 f"duplicate record for engine={engine!r} query={query!r} date={date}",
-                str(path),
+                where,
                 lineno,
             )
-        parsed[key] = (lineno, results)
+        groups[(engine, query, date)] = (lineno, results)
         category = obj.get("category")
         if category is not None:
             if not isinstance(category, str):
-                raise DatasetError("field 'category' must be a string", str(path), lineno)
+                raise DatasetError("field 'category' must be a string", where, lineno)
             categories[query] = category
 
-    if not parsed:
-        raise DatasetError("dataset contains no records", str(path))
-
+    if not groups:
+        raise DatasetError("dataset contains no records", where)
     if expected_n is None:
-        depth = min(
-            len({r.url for r in results}) for _, results in parsed.values()
-        )
-    else:
-        depth = expected_n
-
-    records: dict[tuple[str, str, dt.date], RankedList] = {}
-    for (engine, query, date), (lineno, results) in parsed.items():
-        try:
-            records[(engine, query, date)] = validate_ranked_list(
-                results, depth, engine=engine, query=query, date=date, strict=strict
-            )
-        except ValidationError as exc:
-            raise DatasetError(str(exc), str(path), lineno) from exc
-    return SerpDataset(records, categories)
+        expected_n = min(len({r.url for r in results}) for _, results in groups.values())
+    return _assemble(groups, categories, expected_n, strict, where)
 
 
 def _record_to_json(ranked: RankedList, category: str | None) -> str:
@@ -250,9 +255,10 @@ def read_matrix(path: str | Path) -> SimilarityMatrix:
 
 
 def _mapped_value(
-    obj: Mapping[str, Any], spec: Any, field: str, path: str, lineno: int
+    obj: Mapping[str, Any], mapping: Mapping[str, Any], field: str, path: str, lineno: int
 ) -> Any:
     """Resolve one field of an import mapping: source key or {"const": ...}."""
+    spec = mapping[field]
     if isinstance(spec, dict):
         if set(spec) != {"const"}:
             raise DatasetError(
@@ -283,83 +289,56 @@ def import_dataset(
     (or a {"const": value} literal): required "engine", "query", "date",
     "rank", "url"; optional "title", "snippet", "category", and a
     "date_format" strptime pattern for non-ISO dates. Lists are grouped
-    by (engine, query, date) and ranked by the mapped rank values.
-    URL normalization and depth handling mirror :func:`load_dataset`,
-    except that the default depth is each list's own length.
+    by (engine, query, date) and ranked by the mapped rank values; a
+    rank must be a whole number and a URL a string. URL normalization
+    and redirect handling match :func:`load_dataset`, but the default
+    depth is each list's own length. Errors name the file and line.
     """
     for required in ("engine", "query", "date", "rank", "url"):
         if required not in mapping:
             raise ValidationError(f"import mapping lacks required field {required!r}")
+    date_format = mapping.get("date_format")
+    if date_format is not None and not isinstance(date_format, str):
+        raise ValidationError(
+            f"import mapping field 'date_format' must be a string, "
+            f"got {type(date_format).__name__}"
+        )
 
     path = Path(path)
-    groups: dict[tuple[str, str, dt.date], list[tuple[int, SearchResult]]] = {}
+    where = str(path)
+    groups: _Groups = {}
     categories: dict[str, str] = {}
-    date_format = mapping.get("date_format")
-    text = path.read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"invalid JSON: {exc}", str(path), lineno) from exc
-        if not isinstance(obj, dict):
-            raise DatasetError("each line must be a JSON object", str(path), lineno)
-
-        engine = str(_mapped_value(obj, mapping["engine"], "engine", str(path), lineno))
-        query = str(_mapped_value(obj, mapping["query"], "query", str(path), lineno))
-        raw_date = _mapped_value(obj, mapping["date"], "date", str(path), lineno)
+    for lineno, obj in _rows(path):
+        engine = str(_mapped_value(obj, mapping, "engine", where, lineno))
+        query = str(_mapped_value(obj, mapping, "query", where, lineno))
+        raw_date = _mapped_value(obj, mapping, "date", where, lineno)
         if date_format:
             try:
                 date = dt.datetime.strptime(str(raw_date), date_format).date()
             except ValueError as exc:
-                raise DatasetError(f"bad date {raw_date!r}: {exc}", str(path), lineno) from exc
+                raise DatasetError(f"bad date {raw_date!r}: {exc}", where, lineno) from exc
         else:
-            date = _parse_date(str(raw_date), str(path), lineno)
-        raw_rank = _mapped_value(obj, mapping["rank"], "rank", str(path), lineno)
+            date = _parse_date(str(raw_date), where, lineno)
+        raw_rank = _mapped_value(obj, mapping, "rank", where, lineno)
+        if isinstance(raw_rank, bool) or isinstance(raw_rank, float) and not raw_rank.is_integer():
+            raise DatasetError(f"bad rank {raw_rank!r}", where, lineno)
         try:
             rank = int(raw_rank)
         except (TypeError, ValueError) as exc:
-            raise DatasetError(f"bad rank {raw_rank!r}", str(path), lineno) from exc
-        url = str(_mapped_value(obj, mapping["url"], "url", str(path), lineno))
-        if normalize:
-            try:
-                url = canonicalize(url)
-                if redirect_cache is not None:
-                    url = resolve_redirects(url, redirect_cache, "offline")
-            except SerpSimError as exc:
-                raise DatasetError(str(exc), str(path), lineno) from exc
-        title = ""
-        snippet = ""
+            raise DatasetError(f"bad rank {raw_rank!r}", where, lineno) from exc
+        url = _mapped_value(obj, mapping, "url", where, lineno)
+        if not isinstance(url, str):
+            raise DatasetError(f"field 'url' must be str, got {type(url).__name__}", where, lineno)
+        title = snippet = ""
         if "title" in mapping:
-            title = str(_mapped_value(obj, mapping["title"], "title", str(path), lineno))
+            title = str(_mapped_value(obj, mapping, "title", where, lineno))
         if "snippet" in mapping:
-            snippet = str(_mapped_value(obj, mapping["snippet"], "snippet", str(path), lineno))
+            snippet = str(_mapped_value(obj, mapping, "snippet", where, lineno))
         if "category" in mapping:
-            categories[query] = str(
-                _mapped_value(obj, mapping["category"], "category", str(path), lineno)
-            )
-        try:
-            result = SearchResult(url=url, title=title, snippet=snippet, rank=rank)
-        except ValidationError as exc:
-            raise DatasetError(str(exc), str(path), lineno) from exc
-        groups.setdefault((engine, query, date), []).append((lineno, result))
+            categories[query] = str(_mapped_value(obj, mapping, "category", where, lineno))
+        result = _result(url, title, snippet, rank, normalize, redirect_cache, where, lineno)
+        groups.setdefault((engine, query, date), (lineno, []))[1].append(result)
 
     if not groups:
-        raise DatasetError("no records to import", str(path))
-
-    records: dict[tuple[str, str, dt.date], RankedList] = {}
-    for (engine, query, date), items in groups.items():
-        results = [result for _, result in sorted(items, key=lambda x: x[1].rank)]
-        try:
-            records[(engine, query, date)] = validate_ranked_list(
-                results,
-                expected_n if expected_n is not None else len(results),
-                engine=engine,
-                query=query,
-                date=date,
-                strict=strict,
-            )
-        except ValidationError as exc:
-            raise DatasetError(str(exc), str(path), items[0][0]) from exc
-    return SerpDataset(records, categories)
+        raise DatasetError("no records to import", where)
+    return _assemble(groups, categories, expected_n, strict, where)

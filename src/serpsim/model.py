@@ -7,7 +7,7 @@ invariants, so no partially valid value can leak into the metric code.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .errors import ValidationError
@@ -171,8 +171,9 @@ def validate_ranked_list(
 
     Results are ordered by their incoming rank, deduplicated by canonical
     URL (first occurrence wins), truncated to ``expected_n``, and re-ranked
-    1..n. Duplicate input ranks are always rejected; in strict mode a list
-    that ends up shorter than ``expected_n`` is rejected too.
+    1..n; a result already at its final rank is reused as is. Duplicate
+    input ranks are always rejected; in strict mode a list that ends up
+    shorter than ``expected_n`` is rejected too.
     """
     raw = list(raw)
     if not raw:
@@ -204,7 +205,6 @@ def validate_ranked_list(
         )
 
     reranked = tuple(
-        SearchResult(url=r.url, title=r.title, snippet=r.snippet, rank=i)
-        for i, r in enumerate(deduped, start=1)
+        r if r.rank == i else replace(r, rank=i) for i, r in enumerate(deduped, start=1)
     )
     return RankedList(engine=engine, query=query, date=date, results=reranked)

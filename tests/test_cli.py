@@ -368,3 +368,14 @@ class TestImport:
             ["import", "--input", str(data_dir / "alien.jsonl"), "--mapping", str(mapping)]
         )
         assert code == 2
+
+    def test_non_string_date_format_exits_two(self, data_dir, tmp_path, capsys):
+        mapping = json.loads((data_dir / "alien_mapping.json").read_text(encoding="utf-8"))
+        mapping["date_format"] = 5
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps(mapping), encoding="utf-8")
+        code = run_cli(
+            ["import", "--input", str(data_dir / "alien.jsonl"), "--mapping", str(path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -140,6 +140,35 @@ class TestLoadDataset:
         ds = load_dataset(path, normalize=True, redirect_cache=cache)
         assert ds.get("e1", "sample query", D1).urls() == ("https://example.com/final",)
 
+    def test_redirect_cache_implies_normalize(self, tmp_path):
+        cache = RedirectCache({"http://example.com/x": "https://example.com/final"})
+        obj = json.loads(record_line())
+        obj["results"] = [{"rank": 1, "url": "HTTP://Example.com/x", "title": "t", "snippet": "s"}]
+        path = write_jsonl(tmp_path, json.dumps(obj))
+        ds = load_dataset(path, redirect_cache=cache)
+        assert ds.get("e1", "sample query", D1).urls() == ("https://example.com/final",)
+
+    @pytest.mark.parametrize(
+        "url, cache",
+        [
+            ("not a url", None),
+            (
+                "http://a.example.com/",
+                RedirectCache(
+                    {"http://a.example.com/": "http://b.example.com/",
+                     "http://b.example.com/": "http://a.example.com/"}
+                ),
+            ),
+        ],
+        ids=["unparsable", "redirect-loop"],
+    )
+    def test_normalize_error_names_line(self, tmp_path, url, cache):
+        obj = json.loads(record_line())
+        obj["results"] = [{"rank": 1, "url": url, "title": "t", "snippet": "s"}]
+        path = write_jsonl(tmp_path, json.dumps(obj))
+        with pytest.raises(DatasetError, match=r"data\.jsonl:1"):
+            load_dataset(path, normalize=True, redirect_cache=cache)
+
     def test_category_collected(self, tmp_path):
         path = write_jsonl(tmp_path, record_line(category="testing"))
         assert load_dataset(path).categories["sample query"] == "testing"
@@ -171,6 +200,17 @@ class TestRoundTrip:
         path = write_jsonl(tmp_path, json.dumps(obj, ensure_ascii=False))
         text = dumps_dataset(load_dataset(path))
         assert "smörgåsbord" in text
+
+    @pytest.mark.parametrize("char", ["\u2028", "\x85"], ids=["U+2028", "U+0085"])
+    def test_unicode_line_separator_round_trips(self, tmp_path, char):
+        obj = json.loads(record_line())
+        obj["results"][0]["snippet"] = f"before{char}after"
+        ds = load_dataset(write_jsonl(tmp_path, json.dumps(obj)))
+        out = tmp_path / "out.jsonl"
+        write_dataset(ds, out)
+        again = load_dataset(out)
+        assert [again.get(*key) for key in again] == [ds.get(*key) for key in ds]
+        assert again.get("e1", "sample query", D1).results[0].snippet == f"before{char}after"
 
 
 class TestMatrixIO:
@@ -255,10 +295,51 @@ class TestImport:
         assert ranked.urls() == ("https://y.example.com", "https://x.example.com")
 
     def test_bad_rank_rejected(self, tmp_path):
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
+        for rank in ("first", 1.9, True):
+            path = write_jsonl(
+                tmp_path,
+                json.dumps({"q": "a", "d": "2019-07-01", "p": rank, "u": "https://x.example.com"}),
+            )
+            with pytest.raises(DatasetError, match=r"data\.jsonl:1.*rank"):
+                import_dataset(path, mapping)
+
+    @pytest.mark.parametrize("rank", [2, 2.0], ids=["int", "float"])
+    def test_whole_number_rank_accepted(self, tmp_path, rank):
         path = write_jsonl(
             tmp_path,
-            json.dumps({"q": "a", "d": "2019-07-01", "p": "first", "u": "https://x.example.com"}),
+            json.dumps({"q": "a", "d": "2019-07-01", "p": rank, "u": "https://x.example.com"}),
+            json.dumps({"q": "a", "d": "2019-07-01", "p": 1, "u": "https://y.example.com"}),
         )
         mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
-        with pytest.raises(DatasetError, match="rank"):
+        ranked = import_dataset(path, mapping).get("e", "a", D1)
+        assert ranked.urls() == ("https://y.example.com", "https://x.example.com")
+
+    def test_null_url_rejected(self, tmp_path):
+        path = write_jsonl(tmp_path, json.dumps({"q": "a", "d": "2019-07-01", "p": 1, "u": None}))
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
+        with pytest.raises(DatasetError, match=r"data\.jsonl:1.*url"):
             import_dataset(path, mapping)
+
+    def test_non_string_date_format_rejected(self, tmp_path):
+        mapping = {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "u"}
+        mapping["date_format"] = 5
+        with pytest.raises(ValidationError, match="date_format"):
+            import_dataset(tmp_path / "x.jsonl", mapping)
+
+    def test_unicode_line_separators_in_row(self, tmp_path):
+        row = {"q": "a", "d": "2019-07-01", "p": 1, "u": "https://x.example.com",
+               "s": "one\u2028two\x85three"}
+        path = write_jsonl(tmp_path, json.dumps(row, ensure_ascii=False))
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u",
+                   "snippet": "s"}
+        ranked = import_dataset(path, mapping).get("e", "a", D1)
+        assert ranked.results[0].snippet == "one\u2028two\x85three"
+
+    def test_redirect_cache_implies_normalize(self, tmp_path):
+        cache = RedirectCache({"http://example.com/x": "https://example.com/final"})
+        row = {"q": "a", "d": "2019-07-01", "p": 1, "u": "HTTP://Example.com/x"}
+        path = write_jsonl(tmp_path, json.dumps(row))
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
+        ds = import_dataset(path, mapping, redirect_cache=cache)
+        assert ds.get("e", "a", D1).urls() == ("https://example.com/final",)

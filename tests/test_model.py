@@ -149,6 +149,12 @@ class TestValidateRankedList:
         assert ranked.urls() == ("https://b.example.com", "https://a.example.com")
         assert [r.rank for r in ranked.results] == [1, 2]
 
+    def test_results_at_final_rank_are_reused(self):
+        raw = [result("https://b.example.com", 2), result("https://a.example.com", 1)]
+        ranked = validate_ranked_list(raw, 2, engine="e", query="q", date=dt.date(2019, 7, 1))
+        assert ranked.results[0] is raw[1]
+        assert ranked.results[1] is raw[0]
+
     def test_duplicate_input_rank_rejected(self):
         raw = [result("https://a.example.com", 1), result("https://b.example.com", 1)]
         with pytest.raises(ValidationError, match="duplicate rank"):
