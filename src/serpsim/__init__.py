@@ -68,7 +68,7 @@ from .textsim import (
     load_stopwords,
     tokenize,
 )
-from .urlnorm import RedirectCache, canonicalize, resolve_many, resolve_redirects
+from .urlnorm import RedirectCache, canonicalize, resolve_redirects
 
 __version__ = "0.1.0"
 
@@ -114,7 +114,6 @@ __all__ = [
     "parse_matrix",
     "penalty_components",
     "read_matrix",
-    "resolve_many",
     "resolve_redirects",
     "score_from_components",
     "similarity_matrix",

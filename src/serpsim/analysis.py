@@ -217,13 +217,13 @@ def impact_sweep(
     factor: str,
     steps: tuple[float, ...] = DEFAULT_SWEEP_STEPS,
     *,
-    cfg: MetricConfig = DEFAULT_CONFIG,
+    boost_weights: tuple[float, ...] = DEFAULT_CONFIG.boost_weights,
     stopwords: frozenset[str] | None = None,
 ) -> ImpactReport:
     """Sweep one penalty weight over ``steps``, zeroing the other two.
 
-    The baseline sets all three penalty weights to zero (boost weights
-    are kept, so positional agreement still counts). Each step re-scores
+    The baseline sets all three penalty weights to zero; ``boost_weights``
+    apply throughout, so positional agreement still counts. Each step re-scores
     every cell from cached penalties, then reports the mean's percentage
     decrease. Raises if the baseline mean is zero, since a percentage
     decrease is undefined there.
@@ -255,7 +255,7 @@ def impact_sweep(
             a=weights.get("snippet", 0.0),
             b=weights.get("title", 0.0),
             c=weights.get("transposition", 0.0),
-            boost_weights=cfg.boost_weights,
+            boost_weights=boost_weights,
         )
         return statistics.fmean(
             score_from_components(comp, step_cfg).score for comp in components

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import analysis, dataset_io
 from .combined import combined_similarity
-from .errors import SerpSimError
+from .errors import DatasetError, SerpSimError
 from .model import DEFAULT_BOOST_WEIGHTS, MetricConfig, SimilarityMatrix
 from .rank_metrics import (
     jaro_sim,
@@ -92,58 +92,44 @@ def _parse_date(text: str) -> dt.date:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    scoring = common.add_argument_group("scoring")
-    scoring.add_argument(
-        "--weights",
-        type=_parse_weights,
-        default=(0.8, 1.0, 0.8),
-        metavar="A,B,C",
+def _shared_options() -> tuple[argparse.ArgumentParser, ...]:
+    """Parent parsers of the shared flags: penalty weights, content (boost and
+    stopwords), metric, and dataset loading. A subcommand takes the ones it reads."""
+    weights, content, metric, loading = (
+        argparse.ArgumentParser(add_help=False) for _ in range(4)
+    )
+    weights.add_argument_group("scoring").add_argument(
+        "--weights", type=_parse_weights, default=(0.8, 1.0, 0.8), metavar="A,B,C",
         help="snippet, title and transposition penalty weights (default 0.8,1.0,0.8)",
     )
+    scoring = content.add_argument_group("scoring")
     scoring.add_argument(
-        "--boost",
-        type=_parse_boost,
-        default=DEFAULT_BOOST_WEIGHTS,
-        metavar="W1,..",
-        help="positional agreement boost weights, or 'none' "
-        "(default 0.15,0.1,0.07,0.03,0.01)",
+        "--boost", type=_parse_boost, default=DEFAULT_BOOST_WEIGHTS, metavar="W1,..",
+        help="positional agreement boost weights, or 'none' (default 0.15,0.1,0.07,0.03,0.01)",
     )
     scoring.add_argument(
-        "--stopwords",
-        metavar="PATH",
+        "--stopwords", metavar="PATH",
         help="stopword file (UTF-8, one word per line) replacing the bundled list",
     )
-    scoring.add_argument(
-        "--metric",
-        choices=METRIC_CHOICES,
-        default="combined",
+    metric.add_argument_group("scoring").add_argument(
+        "--metric", choices=METRIC_CHOICES, default="combined",
         help="combined content+ranking score, or a rank-only baseline",
     )
-    loading = common.add_argument_group("dataset loading")
-    loading.add_argument(
-        "--normalize",
-        action="store_true",
-        help="canonicalize URLs while loading",
-    )
-    loading.add_argument(
-        "--redirects",
-        metavar="PATH",
+    group = loading.add_argument_group("dataset loading")
+    group.add_argument("--normalize", action="store_true", help="canonicalize URLs while loading")
+    group.add_argument(
+        "--redirects", metavar="PATH",
         help="redirect cache (source<TAB>target); implies --normalize",
     )
-    loading.add_argument(
-        "--strict",
-        action="store_true",
+    group.add_argument(
+        "--strict", action="store_true",
         help="reject lists that are shorter than the expected depth",
     )
-    loading.add_argument(
-        "--top-n",
-        type=int,
-        metavar="N",
+    group.add_argument(
+        "--top-n", type=int, metavar="N",
         help="compare the top N results (default: depth of the shortest list)",
     )
-    return common
+    return weights, content, metric, loading
 
 
 def _config(args: argparse.Namespace) -> MetricConfig:
@@ -165,17 +151,11 @@ def _loader_options(args: argparse.Namespace) -> dict:
     }
 
 
-def _load(args: argparse.Namespace, path: str) -> analysis.SerpDataset:
-    return dataset_io.load_dataset(path, **_loader_options(args))
-
-
-def _single_record(args: argparse.Namespace, path: str):
-    dataset = _load(args, path)
+def _single_record(path: str, loader_options: dict):
+    dataset = dataset_io.load_dataset(path, **loader_options)
     keys = list(dataset)
     if len(keys) != 1:
-        raise SerpSimError(
-            f"{path}: expected exactly one record, found {len(keys)}"
-        )
+        raise SerpSimError(f"{path}: expected exactly one record, found {len(keys)}")
     return dataset.get(*keys[0])
 
 
@@ -190,15 +170,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.files:
         if len(args.files) != 2:
             raise UsageError("compare needs exactly two record files")
-        list_a = _single_record(args, args.files[0])
-        list_b = _single_record(args, args.files[1])
+        selectors = [
+            "--" + dest.replace("_", "-")
+            for dest in ("dataset", "engine_a", "engine_b", "query", "date", "date_b")
+            if getattr(args, dest) is not None
+        ]
+        if selectors:
+            raise UsageError(f"compare FILE FILE cannot be combined with {', '.join(selectors)}")
+        options = _loader_options(args)
+        list_a, list_b = (_single_record(path, options) for path in args.files)
     else:
         if not (args.dataset and args.engine_a and args.engine_b and args.query and args.date):
             raise UsageError(
                 "compare needs either two record files or --dataset with "
                 "--engine-a, --engine-b, --query and --date"
             )
-        dataset = _load(args, args.dataset)
+        dataset = dataset_io.load_dataset(args.dataset, **_loader_options(args))
         date_b = args.date_b or args.date
         list_a = dataset.get(args.engine_a, args.query, args.date)
         list_b = dataset.get(args.engine_b, args.query, date_b)
@@ -223,7 +210,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _matrix_from_args(args: argparse.Namespace) -> SimilarityMatrix:
-    dataset = _load(args, args.dataset)
+    dataset = dataset_io.load_dataset(args.dataset, **_loader_options(args))
     return analysis.similarity_matrix(
         dataset,
         args.engine_a,
@@ -241,6 +228,15 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 def _matrix_or_file(args: argparse.Namespace) -> SimilarityMatrix:
     if args.matrix:
+        # a matrix file is already scored, so no option but -o can apply to it
+        conflicts = [
+            action.option_strings[-1]
+            for action in args.parser._actions
+            if action.option_strings and action.dest not in ("matrix", "output")
+            and getattr(args, action.dest, action.default) != action.default
+        ]
+        if conflicts:
+            raise UsageError(f"--matrix cannot be combined with {', '.join(conflicts)}")
         return dataset_io.read_matrix(args.matrix)
     if not (args.dataset and args.engine_a and args.engine_b):
         raise UsageError(
@@ -270,14 +266,14 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    dataset = _load(args, args.dataset)
+    dataset = dataset_io.load_dataset(args.dataset, **_loader_options(args))
     report = analysis.impact_sweep(
         dataset,
         args.engine_a,
         args.engine_b,
         args.factor,
         args.steps,
-        cfg=_config(args),
+        boost_weights=args.boost,
         stopwords=_stopwords(args),
     )
     lines = [
@@ -291,8 +287,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_drift(args: argparse.Namespace) -> int:
-    dataset_old = _load(args, args.old)
-    dataset_new = _load(args, args.new)
+    options = _loader_options(args)
+    dataset_old = dataset_io.load_dataset(args.old, **options)
+    dataset_new = dataset_io.load_dataset(args.new, **options)
     scores = analysis.cross_period_drift(
         dataset_old,
         dataset_new,
@@ -328,9 +325,12 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> int:
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
-    mapping = json.loads(Path(args.mapping).read_text(encoding="utf-8"))
+    try:
+        mapping = json.loads(Path(args.mapping).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"mapping is not valid JSON: {exc}", args.mapping) from exc
     if not isinstance(mapping, dict):
-        raise SerpSimError(f"{args.mapping}: mapping must be a JSON object")
+        raise DatasetError("mapping must be a JSON object", args.mapping)
     dataset = dataset_io.import_dataset(args.input, mapping, **_loader_options(args))
     _write_or_print(dataset_io.dumps_dataset(dataset), args.output)
     return 0
@@ -341,12 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="serpsim",
         description="Content-and-ranking similarity analytics for ranked search results.",
     )
-    common = _common_options()
+    weights, content, metric, loading = _shared_options()
+    scoring = [weights, content, metric, loading]
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compare = sub.add_parser(
-        "compare", parents=[common], help="score one pair of ranked lists"
-    )
+    compare = sub.add_parser("compare", parents=scoring, help="score one pair of ranked lists")
     compare.add_argument("files", nargs="*", metavar="FILE", help="two one-record files")
     compare.add_argument("--dataset", metavar="PATH")
     compare.add_argument("--engine-a", metavar="NAME")
@@ -359,9 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.set_defaults(func=_cmd_compare)
 
-    matrix = sub.add_parser(
-        "matrix", parents=[common], help="day x query similarity grid"
-    )
+    matrix = sub.add_parser("matrix", parents=scoring, help="day x query similarity grid")
     matrix.add_argument("--dataset", required=True, metavar="PATH")
     matrix.add_argument("--engine-a", required=True, metavar="NAME")
     matrix.add_argument("--engine-b", required=True, metavar="NAME")
@@ -372,16 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("consistency", _cmd_consistency, "per-day mean similarity"),
         ("summary", _cmd_summary, "mean/median/min/max of a grid"),
     ):
-        p = sub.add_parser(name, parents=[common], help=text)
-        p.add_argument("--matrix", metavar="PATH", help="precomputed matrix TSV")
+        p = sub.add_parser(name, parents=scoring, help=text)
+        p.add_argument("--matrix", metavar="PATH", help="precomputed matrix TSV, used alone")
         p.add_argument("--dataset", metavar="PATH")
         p.add_argument("--engine-a", metavar="NAME")
         p.add_argument("--engine-b", metavar="NAME")
         p.add_argument("-o", "--output", metavar="PATH")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=handler, parser=p)
 
     sweep = sub.add_parser(
-        "sweep", parents=[common], help="impact of one penalty weight"
+        "sweep", parents=[content, loading], help="impact of one penalty weight"
     )
     sweep.add_argument("--dataset", required=True, metavar="PATH")
     sweep.add_argument("--engine-a", required=True, metavar="NAME")
@@ -397,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     drift = sub.add_parser(
-        "drift", parents=[common], help="self-similarity across two periods"
+        "drift", parents=[weights, content, loading], help="self-similarity across two periods"
     )
     drift.add_argument("--old", required=True, metavar="PATH", help="earlier dataset")
     drift.add_argument("--new", required=True, metavar="PATH", help="later dataset")
@@ -407,18 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
     drift.add_argument("-o", "--output", metavar="PATH")
     drift.set_defaults(func=_cmd_drift)
 
-    norm = sub.add_parser(
-        "normalize-urls", help="canonicalize URLs, one per line"
-    )
+    norm = sub.add_parser("normalize-urls", help="canonicalize URLs, one per line")
     norm.add_argument("file", metavar="FILE", help="URL list, or - for stdin")
     norm.add_argument("--sort-query", action="store_true", help="sort query parameters")
     norm.add_argument("--strip-www", action="store_true", help="drop a leading www label")
     norm.add_argument("--redirects", metavar="PATH", help="redirect cache to apply")
     norm.set_defaults(func=_cmd_normalize_urls)
 
-    importer = sub.add_parser(
-        "import", parents=[common], help="convert foreign flat JSONL"
-    )
+    importer = sub.add_parser("import", parents=[loading], help="convert foreign flat JSONL")
     importer.add_argument("--input", required=True, metavar="PATH")
     importer.add_argument(
         "--mapping", required=True, metavar="PATH",

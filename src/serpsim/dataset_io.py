@@ -76,10 +76,10 @@ def _result(
 ) -> SearchResult:
     """Build one result, normalizing its URL if asked or if a redirect cache is given."""
     try:
-        if normalize or redirect_cache is not None:
+        if redirect_cache is not None:
+            url = resolve_redirects(url, redirect_cache, "offline")
+        elif normalize:
             url = canonicalize(url)
-            if redirect_cache is not None:
-                url = resolve_redirects(url, redirect_cache, "offline")
         return SearchResult(url=url, title=title, snippet=snippet, rank=rank)
     except SerpSimError as exc:
         raise DatasetError(str(exc), path, lineno) from exc
@@ -274,6 +274,17 @@ def _mapped_value(
     return obj[spec]
 
 
+def _mapped_text(
+    obj: Mapping[str, Any], mapping: Mapping[str, Any], field: str, path: str, lineno: int
+) -> str:
+    """Resolve a mapped text field; a number is written as text, null is refused."""
+    value = _mapped_value(obj, mapping, field, path, lineno)
+    if value is None or isinstance(value, (dict, list)):
+        problem = f"must be a string or a number, got {type(value).__name__}"
+        raise DatasetError(f"field {field!r} {problem}", path, lineno)
+    return str(value)
+
+
 def import_dataset(
     path: str | Path,
     mapping: Mapping[str, Any],
@@ -290,7 +301,8 @@ def import_dataset(
     "rank", "url"; optional "title", "snippet", "category", and a
     "date_format" strptime pattern for non-ISO dates. Lists are grouped
     by (engine, query, date) and ranked by the mapped rank values; a
-    rank must be a whole number and a URL a string. URL normalization
+    rank must be a whole number, a URL a string, and the engine, query,
+    title, snippet and category strings or numbers. URL normalization
     and redirect handling match :func:`load_dataset`, but the default
     depth is each list's own length. Errors name the file and line.
     """
@@ -309,8 +321,8 @@ def import_dataset(
     groups: _Groups = {}
     categories: dict[str, str] = {}
     for lineno, obj in _rows(path):
-        engine = str(_mapped_value(obj, mapping, "engine", where, lineno))
-        query = str(_mapped_value(obj, mapping, "query", where, lineno))
+        engine = _mapped_text(obj, mapping, "engine", where, lineno)
+        query = _mapped_text(obj, mapping, "query", where, lineno)
         raw_date = _mapped_value(obj, mapping, "date", where, lineno)
         if date_format:
             try:
@@ -331,11 +343,11 @@ def import_dataset(
             raise DatasetError(f"field 'url' must be str, got {type(url).__name__}", where, lineno)
         title = snippet = ""
         if "title" in mapping:
-            title = str(_mapped_value(obj, mapping, "title", where, lineno))
+            title = _mapped_text(obj, mapping, "title", where, lineno)
         if "snippet" in mapping:
-            snippet = str(_mapped_value(obj, mapping, "snippet", where, lineno))
+            snippet = _mapped_text(obj, mapping, "snippet", where, lineno)
         if "category" in mapping:
-            categories[query] = str(_mapped_value(obj, mapping, "category", where, lineno))
+            categories[query] = _mapped_text(obj, mapping, "category", where, lineno)
         result = _result(url, title, snippet, rank, normalize, redirect_cache, where, lineno)
         groups.setdefault((engine, query, date), (lineno, []))[1].append(result)
 

@@ -9,14 +9,13 @@ map to one final target.
 
 from __future__ import annotations
 
+import re
 import string
-import threading
 import urllib.error
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Literal
+from typing import Callable, Literal
 
 from .errors import DatasetError, RedirectError, UrlParseError
 
@@ -24,30 +23,26 @@ DEFAULT_PORTS = {"http": 80, "https": 443, "ftp": 21, "ws": 80, "wss": 443}
 
 # RFC 3986 unreserved characters: safe to percent-decode everywhere.
 _UNRESERVED = set(string.ascii_letters + string.digits + "-._~")
-_HEX = set(string.hexdigits)
+_ESCAPE = re.compile("%([0-9A-Fa-f]{2})")
 
 #: (status, location) returned by a fetch callable; location is None unless redirected.
 Fetch = Callable[[str], tuple[int, str | None]]
 
 
+def _normalize_escape(match: re.Match) -> str:
+    decoded = chr(int(match[1], 16))
+    return decoded if decoded in _UNRESERVED else "%" + match[1].upper()
+
+
 def _normalize_percent(component: str) -> str:
-    """Decode unreserved %XX escapes and uppercase the hex of the rest."""
-    out: list[str] = []
-    i = 0
-    while i < len(component):
-        ch = component[i]
-        if ch == "%" and i + 3 <= len(component) \
-                and component[i + 1] in _HEX and component[i + 2] in _HEX:
-            decoded = chr(int(component[i + 1 : i + 3], 16))
-            if decoded in _UNRESERVED:
-                out.append(decoded)
-            else:
-                out.append("%" + component[i + 1 : i + 3].upper())
-            i += 3
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    """Decode unreserved %XX escapes and uppercase the hex of the rest, until
+    stable: a decoded character can complete a new escape ("%%6141" -> "%A41")."""
+    while "%" in component:
+        normalized = _ESCAPE.sub(_normalize_escape, component)
+        if normalized == component:
+            break
+        component = normalized
+    return component
 
 
 def _remove_dot_segments(path: str) -> str:
@@ -98,10 +93,20 @@ def canonicalize(url: str, *, sort_query: bool = False, strip_www: bool = False)
     - dot-segments in the path resolved
     - trailing slash on non-root paths removed; empty path becomes "/"
     - query-parameter order preserved (``sort_query=True`` to sort)
+    - the result is its own canonical form
 
     ``strip_www`` additionally drops a leading "www." host label; it is
     off by default because it is not universally content-preserving.
     """
+    canonical = _canonicalize_once(url, sort_query, strip_www)
+    # whitespace the rewrites left at the end (before a dropped fragment or
+    # a removed slash) is only stripped by another pass
+    while canonical != canonical.rstrip():
+        canonical = _canonicalize_once(canonical, sort_query, strip_www)
+    return canonical
+
+
+def _canonicalize_once(url: str, sort_query: bool, strip_www: bool) -> str:
     if not isinstance(url, str) or not url.strip():
         raise UrlParseError(str(url), "empty input")
     try:
@@ -132,7 +137,11 @@ def canonicalize(url: str, *, sort_query: bool = False, strip_www: bool = False)
     elif scheme in ("http", "https"):
         raise UrlParseError(url, "http(s) URL without a host")
 
+    # "//" (and a rooted path) for a scheme that takes a host, even an empty one
+    takes_authority = bool(netloc) or scheme in urllib.parse.uses_netloc
     path = _normalize_percent(parts.path)
+    if takes_authority and path and not path.startswith("/"):
+        path = "/" + path
     path = _remove_dot_segments(path)
     if netloc and not path:
         path = "/"
@@ -143,20 +152,20 @@ def canonicalize(url: str, *, sort_query: bool = False, strip_www: bool = False)
     if sort_query and query:
         query = "&".join(sorted(query.split("&")))
 
-    return urllib.parse.urlunsplit((scheme, netloc, path, query, ""))
+    # a path starting "//" needs an authority, or it would read back as a host
+    authority = f"//{netloc}" if takes_authority or path.startswith("//") else ""
+    return f"{scheme}:{authority}{path}" + (f"?{query}" if query else "")
 
 
 class RedirectCache:
     """Mapping from source URL to final redirect target.
 
-    Both keys and values are stored in canonical form. Reads and writes
-    are plain dict operations, safe under concurrent use with
-    last-write-wins semantics on identical keys.
+    Both keys and values are stored in canonical form; a later entry for
+    the same source replaces an earlier one.
     """
 
     def __init__(self, entries: dict[str, str] | None = None):
         self._entries: dict[str, str] = {}
-        self._lock = threading.Lock()
         if entries:
             for source, target in entries.items():
                 self.put(source, target)
@@ -193,8 +202,7 @@ class RedirectCache:
         return cache
 
     def save(self, path: str | Path) -> None:
-        with self._lock:
-            lines = [f"{src}\t{dst}\n" for src, dst in sorted(self._entries.items())]
+        lines = [f"{src}\t{dst}\n" for src, dst in sorted(self._entries.items())]
         Path(path).write_text("".join(lines), encoding="utf-8")
 
 
@@ -235,7 +243,7 @@ def resolve_redirects(
     max_hops: int = 10,
     fetch: Fetch | None = None,
 ) -> str:
-    """Resolve a canonical URL to its final redirect target.
+    """Canonicalize a URL and resolve it to its final redirect target.
 
     Offline mode walks the cache (following recorded chains); a URL with
     no cache entry is returned unchanged. Online mode issues requests via
@@ -275,23 +283,3 @@ def resolve_redirects(
         chain.append(nxt)
         current = nxt
     raise RedirectError(f"hop limit {max_hops} exceeded", tuple(chain))
-
-
-def resolve_many(
-    urls: Iterable[str],
-    cache: RedirectCache,
-    mode: Literal["online", "offline"] = "offline",
-    *,
-    max_workers: int = 8,
-    fetch: Fetch | None = None,
-) -> list[str]:
-    """Resolve several URLs, preserving input order.
-
-    Online lookups run on a bounded thread pool; offline resolution is
-    sequential (it is pure dictionary walking).
-    """
-    urls = list(urls)
-    if mode == "offline" or max_workers <= 1:
-        return [resolve_redirects(u, cache, mode, fetch=fetch) for u in urls]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda u: resolve_redirects(u, cache, "online", fetch=fetch), urls))

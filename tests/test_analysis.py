@@ -154,6 +154,11 @@ class TestImpactSweep:
             report = impact_sweep(sweep_dataset, "x", "y", factor)
             assert all(pct == pytest.approx(0.0, abs=1e-12) for pct in report.decrease_pct)
 
+    def test_boost_weights_apply_at_every_step(self, sweep_dataset):
+        report = impact_sweep(sweep_dataset, "x", "y", "snippet", boost_weights=())
+        for w, pct in zip(report.weight_steps, report.decrease_pct):
+            assert pct == pytest.approx(100 * w * 6 / 19)
+
     def test_bad_factor_rejected(self, sweep_dataset):
         with pytest.raises(ValidationError, match="factor"):
             impact_sweep(sweep_dataset, "x", "y", "velocity")

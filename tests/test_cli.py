@@ -6,8 +6,10 @@ import sys
 import pytest
 
 from serpsim import (
+    RedirectCache,
     SerpDataset,
     format_matrix,
+    impact_sweep,
     kendall_tau_sim,
     load_dataset,
     similarity_matrix,
@@ -167,6 +169,74 @@ class TestArgHandling:
         assert code == 2
 
 
+#: Invocations with a flag the subcommand does not take, or one its chosen input
+#: mode cannot use. Tokens are formatted with the paths of ``test_unread_flag_exits_one``.
+_SWEEP = ["sweep", "--dataset", "{sample}", "--engine-a", "acme", "--engine-b", "bravo",
+          "--factor", "snippet"]
+_DRIFT = ["drift", "--old", "{sample}", "--new", "{sample}", "--engine", "acme"]
+_IMPORT = ["import", "--input", "{alien}", "--mapping", "{mapping}"]
+_DATASET_ONLY = [
+    ["--dataset", "{sample}"], ["--engine-a", "acme"], ["--engine-b", "bravo"],
+    ["--weights", "1,1,1"], ["--boost", "none"], ["--stopwords", "{missing}"],
+    ["--metric", "kendall"], ["--normalize"], ["--redirects", "{missing}"], ["--strict"],
+    ["--top-n", "3"],
+]
+UNREAD_FLAGS = [
+    [*_SWEEP, "--weights", "0,0,0"],
+    [*_SWEEP, "--metric", "jaro"],
+    [*_DRIFT, "--metric", "kendall"],
+    [*_IMPORT, "--weights", "1,1,1"],
+    [*_IMPORT, "--boost", "none"],
+    [*_IMPORT, "--stopwords", "{missing}"],
+    [*_IMPORT, "--metric", "jaro"],
+    *(
+        ["compare", "{pair_a}", "{pair_b}", *extra]
+        for extra in (
+            ["--dataset", "{sample}"], ["--engine-a", "acme"], ["--engine-b", "bravo"],
+            ["--query", "climate change"], ["--date", "2019-07-01"], ["--date-b", "2019-07-02"],
+        )
+    ),
+    *(
+        [command, "--matrix", "{matrix}", *extra]
+        for command in ("consistency", "summary")
+        for extra in _DATASET_ONLY
+    ),
+]
+
+
+def _last_flag(argv: list[str]) -> str:
+    return [token for token in argv if token.startswith("--")][-1]
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize(
+        "argv", UNREAD_FLAGS, ids=[argv[0] + _last_flag(argv)[1:] for argv in UNREAD_FLAGS]
+    )
+    def test_unread_flag_exits_one(self, argv, data_dir, tmp_path, capsys):
+        sample = str(data_dir / "sample.jsonl")
+        matrix = tmp_path / "m.tsv"
+        matrix.write_text(format_matrix(similarity_matrix(load_dataset(sample), "acme", "bravo")))
+        paths = {
+            "sample": sample,
+            "matrix": str(matrix),
+            "missing": str(tmp_path / "missing.txt"),
+            "pair_a": str(data_dir / "pair_a.jsonl"),
+            "pair_b": str(data_dir / "pair_b_same.jsonl"),
+            "alien": str(data_dir / "alien.jsonl"),
+            "mapping": str(data_dir / "alien_mapping.json"),
+        }
+        assert run_cli([token.format(**paths) for token in argv]) == 1
+        assert _last_flag(argv) in capsys.readouterr().err
+
+    def test_matrix_with_output_is_accepted(self, grid_file, tmp_path, capsys):
+        matrix = tmp_path / "m.tsv"
+        assert run_cli(["matrix", "--dataset", grid_file, "--engine-a", "x", "--engine-b", "y",
+                        "-o", str(matrix)]) == 0
+        out = tmp_path / "summary.txt"
+        assert run_cli(["summary", "--matrix", str(matrix), "-o", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("# pair\tx\ty\nmean\t")
+
+
 class TestMatrix:
     def test_grid_output(self, grid_file, capsys):
         code = run_cli(
@@ -284,6 +354,20 @@ class TestSweep:
         )
         assert code == 1
 
+    def test_boost_reaches_the_sweep(self, data_dir, capsys):
+        sample = str(data_dir / "sample.jsonl")
+        code = run_cli(
+            ["sweep", "--dataset", sample, "--engine-a", "acme", "--engine-b", "bravo",
+             "--factor", "title", "--boost", "none"]
+        )
+        assert code == 0
+        report = impact_sweep(load_dataset(sample), "acme", "bravo", "title", boost_weights=())
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == f"# base_mean\t{report.base_mean:.4f}"
+        assert lines[2:] == [
+            f"{step:.2f}\t{pct:.2f}" for step, pct in zip(report.weight_steps, report.decrease_pct)
+        ]
+
 
 class TestDrift:
     def test_same_day_drift_is_one(self, data_dir, capsys):
@@ -307,6 +391,21 @@ class TestDrift:
         mean_line = capsys.readouterr().out.splitlines()[-1]
         assert mean_line.startswith("mean\t")
         assert 0.0 < float(mean_line.split("\t")[1]) < 1.0
+
+    def test_redirect_cache_read_once(self, data_dir, monkeypatch, capsys):
+        reads = []
+        from_file = RedirectCache.from_file
+        monkeypatch.setattr(
+            RedirectCache, "from_file", lambda path: reads.append(path) or from_file(path)
+        )
+        sample = str(data_dir / "sample.jsonl")
+        redirects = str(data_dir / "redirects.tsv")
+        code = run_cli(
+            ["drift", "--old", sample, "--new", sample, "--engine", "acme",
+             "--redirects", redirects]
+        )
+        assert code == 0
+        assert reads == [redirects]
 
 
 class TestNormalizeUrls:
@@ -368,6 +467,17 @@ class TestImport:
             ["import", "--input", str(data_dir / "alien.jsonl"), "--mapping", str(mapping)]
         )
         assert code == 2
+
+    def test_mapping_that_is_not_json_is_named(self, data_dir, tmp_path, capsys):
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text('{"a":', encoding="utf-8")
+        code = run_cli(
+            ["import", "--input", str(data_dir / "alien.jsonl"), "--mapping", str(mapping)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mapping}:")
+        assert "mapping is not valid JSON" in err
 
     def test_non_string_date_format_exits_two(self, data_dir, tmp_path, capsys):
         mapping = json.loads((data_dir / "alien_mapping.json").read_text(encoding="utf-8"))

@@ -17,6 +17,7 @@ from serpsim import (
     write_dataset,
     write_matrix,
 )
+from serpsim import dataset_io, urlnorm
 
 D1 = dt.date(2019, 7, 1)
 
@@ -169,6 +170,21 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"data\.jsonl:1"):
             load_dataset(path, normalize=True, redirect_cache=cache)
 
+    def test_redirect_cache_canonicalizes_each_url_once(self, tmp_path, monkeypatch):
+        cache = RedirectCache({"http://example.com/x": "https://example.com/final"})
+        path = write_jsonl(tmp_path, record_line(urls=("a", "b", "c")))
+        seen = []
+        canonicalize = urlnorm.canonicalize
+
+        def counting(url, **kwargs):
+            seen.append(url)
+            return canonicalize(url, **kwargs)
+
+        monkeypatch.setattr(urlnorm, "canonicalize", counting)
+        monkeypatch.setattr(dataset_io, "canonicalize", counting)
+        load_dataset(path, normalize=True, redirect_cache=cache)
+        assert len(seen) == 3
+
     def test_category_collected(self, tmp_path):
         path = write_jsonl(tmp_path, record_line(category="testing"))
         assert load_dataset(path).categories["sample query"] == "testing"
@@ -320,6 +336,25 @@ class TestImport:
         mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
         with pytest.raises(DatasetError, match=r"data\.jsonl:1.*url"):
             import_dataset(path, mapping)
+
+    @pytest.mark.parametrize("field", ["engine", "query", "title", "snippet", "category"])
+    @pytest.mark.parametrize("value", [None, {"x": 1}, ["x"]], ids=["null", "object", "array"])
+    def test_non_text_field_rejected(self, tmp_path, field, value):
+        row = {"engine": "e1", "query": "a", "date": "2019-07-01", "rank": 1,
+               "url": "https://x.example.com", "title": "t", "snippet": "s", "category": "c"}
+        row[field] = value
+        path = write_jsonl(tmp_path, json.dumps(row))
+        with pytest.raises(DatasetError, match=rf"data\.jsonl:1: field '{field}' must be a string"):
+            import_dataset(path, {key: key for key in row})
+
+    def test_numeric_text_fields_become_strings(self, tmp_path):
+        row = {"q": 42, "d": "2019-07-01", "p": 1, "u": "https://x.example.com", "t": 1.5}
+        path = write_jsonl(tmp_path, json.dumps(row))
+        mapping = {"engine": {"const": 7}, "query": "q", "date": "d", "rank": "p", "url": "u",
+                   "title": "t", "category": {"const": 3}}
+        ds = import_dataset(path, mapping)
+        assert ds.get("7", "42", D1).results[0].title == "1.5"
+        assert ds.categories == {"42": "3"}
 
     def test_non_string_date_format_rejected(self, tmp_path):
         mapping = {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "u"}

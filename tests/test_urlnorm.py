@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serpsim import (
     DatasetError,
@@ -6,7 +8,6 @@ from serpsim import (
     RedirectError,
     UrlParseError,
     canonicalize,
-    resolve_many,
     resolve_redirects,
 )
 
@@ -30,6 +31,9 @@ class TestCanonicalize:
             ("http://[2001:DB8::1]:80/x", "http://[2001:db8::1]/x"),
             ("ftp://Example.com:21/pub/", "ftp://example.com/pub"),
             ("  http://example.com/x  ", "http://example.com/x"),
+            ("http://example.com/%%41", "http://example.com/%A"),
+            ("http://example.com/%4", "http://example.com/%4"),
+            ("http://example.com/%zz", "http://example.com/%zz"),
         ],
     )
     def test_rewrites(self, raw, expected):
@@ -38,6 +42,38 @@ class TestCanonicalize:
     def test_idempotent_on_examples(self):
         raw = "HTTP://User@Example.COM:8080/a/../b/%7e?q=%41#f"
         once = canonicalize(raw)
+        assert canonicalize(once) == once
+
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            # a decoded character completes a new escape with the '%' before it
+            ("http://example.com/%%6141", "http://example.com/%A41"),
+            # whitespace left at the end once the fragment or a slash is gone
+            ("http://example.com/a #f", "http://example.com/a"),
+            ("http://example.com/a /", "http://example.com/a"),
+            # an empty authority stays written, so the path never reads as a host
+            ("ftp:////a", "ftp:////a"),
+            ("x:/.//a", "x:////a"),
+            ("ftp:.", "ftp:///"),
+        ],
+    )
+    def test_result_is_already_canonical(self, raw, expected):
+        assert canonicalize(raw) == expected
+        assert canonicalize(expected) == expected
+
+    @settings(max_examples=1000, deadline=None)
+    @given(url=st.builds(
+        "{}:{}{}".format,
+        st.sampled_from(["http", "HTTPS", "ftp", "file", "mailto", "x"]),
+        st.sampled_from(["", "//", "//Ex.COM", "//u%41@[::1]:80", "//www.a:08080"]),
+        st.text(alphabet="aZ09-._~%/?#:@!$&'()*+,;=[] \t\xa0\x1cé", max_size=24),
+    ))
+    def test_idempotent(self, url):
+        try:
+            once = canonicalize(url)
+        except UrlParseError:
+            return
         assert canonicalize(once) == once
 
     def test_sort_query_flag(self):
@@ -174,19 +210,6 @@ class TestResolveOnline:
             resolve_redirects(
                 "http://x.example.com/0", RedirectCache(), "online", max_hops=5, fetch=fetch
             )
-
-    def test_resolve_many_preserves_order(self):
-        def fetch(url):
-            if url.endswith("/a"):
-                return 301, "/z"
-            return 200, None
-
-        cache = RedirectCache()
-        urls = ["http://x.example.com/a", "http://x.example.com/b"]
-        assert resolve_many(urls, cache, "online", fetch=fetch) == [
-            "http://x.example.com/z",
-            "http://x.example.com/b",
-        ]
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
