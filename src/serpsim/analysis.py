@@ -98,6 +98,15 @@ def _require_engines(dataset: SerpDataset, *engines: str) -> None:
         )
 
 
+def _earliest_dates(dataset: SerpDataset, engine: str) -> dict[str, dt.date]:
+    """Each of ``engine``'s queries mapped to its earliest date, in one pass."""
+    earliest: dict[str, dt.date] = {}
+    for key_engine, query, date in dataset._records:
+        if key_engine == engine and (query not in earliest or date < earliest[query]):
+            earliest[query] = date
+    return earliest
+
+
 def _shared_cells(
     dataset: SerpDataset, engine_a: str, engine_b: str
 ) -> tuple[tuple[dt.date, ...], tuple[str, ...], list[tuple[int, int, RankedList, RankedList]]]:
@@ -296,17 +305,17 @@ def cross_period_drift(
     """
     _require_engines(dataset_old, engine)
     _require_engines(dataset_new, engine)
-    shared = sorted(
-        set(dataset_old.queries(engine)) & set(dataset_new.queries(engine))
-    )
+    first_old = _earliest_dates(dataset_old, engine)
+    first_new = _earliest_dates(dataset_new, engine)
+    shared = sorted(first_old.keys() & first_new.keys())
     if not shared:
         raise ValidationError(
             f"datasets share no queries for engine {engine!r}"
         )
     scores: dict[str, float] = {}
     for query in shared:
-        old_date = date_old or dataset_old.dates(engine, query)[0]
-        new_date = date_new or dataset_new.dates(engine, query)[0]
+        old_date = date_old or first_old[query]
+        new_date = date_new or first_new[query]
         list_old = dataset_old.get(engine, query, old_date)
         list_new = dataset_new.get(engine, query, new_date)
         if list_old is None or list_new is None:

@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from functools import lru_cache
 from importlib import resources
+from itertools import filterfalse
 from pathlib import Path
 from typing import Literal
 
@@ -61,15 +62,16 @@ def tokenize(
     query: str = "",
     stopwords: frozenset[str] | None = None,
 ) -> Counter[str]:
-    """Lowercased term frequencies, minus stopwords and query tokens."""
-    if stopwords is None:
-        stopwords = default_stopwords()
-    query_tokens = set(_TOKEN_RE.findall(query.lower()))
-    counts: Counter[str] = Counter()
-    for token in _TOKEN_RE.findall(text.lower()):
-        if token not in stopwords and token not in query_tokens:
-            counts[token] += 1
-    return counts
+    """Lowercased term frequencies, minus stopwords and query tokens.
+
+    Passing a precomputed drop set (the stopwords plus the query's
+    tokens) as ``stopwords`` with an empty ``query`` gives the same result.
+    """
+    drop = default_stopwords() if stopwords is None else stopwords
+    tokens = _TOKEN_RE.findall(text.lower())
+    if query:
+        tokens = filterfalse(set(_TOKEN_RE.findall(query.lower())).__contains__, tokens)
+    return Counter(filterfalse(drop.__contains__, tokens))
 
 
 def cosine_distance(v1: Counter[str], v2: Counter[str]) -> float:
@@ -80,13 +82,16 @@ def cosine_distance(v1: Counter[str], v2: Counter[str]) -> float:
     (distance 1). Equal vectors short-circuit to exactly 0.0 so that
     self-comparison is float-exact.
     """
+    if v1 is v2:
+        return 0.0
     if not v1 and not v2:
         return 0.0
     if not v1 or not v2:
         return 1.0
     if v1 == v2:
         return 0.0
-    dot = sum(count * v2[term] for term, count in v1.items())
+    small, large = (v1, v2) if len(v1) <= len(v2) else (v2, v1)
+    dot = sum(count * large.get(term, 0) for term, count in small.items())
     norm1 = math.sqrt(sum(count * count for count in v1.values()))
     norm2 = math.sqrt(sum(count * count for count in v2.values()))
     cos = dot / (norm1 * norm2)
@@ -113,12 +118,17 @@ def content_penalty(
         raise ValidationError(
             f"lists answer different queries: {list_a.query!r} vs {list_b.query!r}"
         )
+    drop = default_stopwords() if stopwords is None else stopwords
+    drop = drop | set(_TOKEN_RE.findall(list_a.query.lower()))
+
+    def distance(a: str, b: str) -> float:
+        # equal texts share one vector, which cosine_distance sees as identical
+        v = tokenize(a, "", drop)
+        return cosine_distance(v, v if a == b else tokenize(b, "", drop))
+
     text_a = {r.url: getattr(r, field) for r in list_a.results}
     text_b = {r.url: getattr(r, field) for r in list_b.results}
     return sum(
-        cosine_distance(
-            tokenize(text_a[url], list_a.query, stopwords),
-            tokenize(text_b[url], list_b.query, stopwords),
-        )
+        distance(text_a[url], text_b[url])
         for url in sorted(text_a.keys() & text_b.keys())
     )

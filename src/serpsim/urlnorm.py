@@ -78,7 +78,8 @@ def _split_netloc(netloc: str, url: str) -> tuple[str, str, str]:
         if not rest.startswith(":"):
             raise UrlParseError(url, f"malformed host/port {hostport!r}")
         port = rest[1:]
-        if port and not port.isdigit():
+        # ASCII only: isdigit() also accepts other Unicode digits, such as '²'
+        if port and not (port.isascii() and port.isdigit()):
             raise UrlParseError(url, f"invalid port {port!r}")
     return userinfo, host, port
 
@@ -129,8 +130,11 @@ def _canonicalize_once(url: str, sort_query: bool, strip_www: bool) -> str:
         if not host:
             raise UrlParseError(url, "empty host")
         new_netloc = host
-        if port and int(port) != DEFAULT_PORTS.get(scheme):
-            new_netloc += f":{int(port)}"
+        if port:
+            # the port's decimal value, without int() and its 4300-digit limit
+            port = port.lstrip("0") or "0"
+            if port != str(DEFAULT_PORTS.get(scheme)):
+                new_netloc += f":{port}"
         if userinfo:
             new_netloc = _normalize_percent(userinfo) + "@" + new_netloc
         netloc = new_netloc

@@ -6,6 +6,7 @@ from serpsim import (
     MetricConfig,
     SerpDataset,
     ValidationError,
+    combined_similarity,
     consistency_series,
     cross_period_drift,
     impact_sweep,
@@ -19,6 +20,7 @@ UNIT = MetricConfig(a=1.0, b=1.0, c=1.0, boost_weights=(0.15, 0.10, 0.07, 0.03, 
 
 D1 = dt.date(2019, 7, 1)
 D2 = dt.date(2019, 7, 2)
+D3 = dt.date(2019, 7, 3)
 
 
 @pytest.fixture
@@ -199,6 +201,33 @@ class TestCrossPeriodDrift:
         new = SerpDataset.from_lists([make_list("abcghi", engine="x", date=D2)])
         scores = cross_period_drift(old, new, "x", UNIT)
         assert scores["sample query"] == pytest.approx(0.6779, abs=1e-4)
+
+    def test_each_query_uses_its_own_earliest_date(self):
+        old = SerpDataset.from_lists([
+            make_list("abcdef", engine="x", query="alpha query", date=D2),
+            make_list("fedcba", engine="x", query="alpha query", date=D3),
+            make_list("abcghi", engine="x", query="beta query", date=D1),
+            make_list("abcdef", engine="x", query="beta query", date=D3),
+            make_list("ghidef", engine="y", query="alpha query", date=D1),
+        ])
+        new = SerpDataset.from_lists([
+            make_list("abcdfe", engine="x", query="alpha query", date=D3),
+            make_list("abcdef", engine="x", query="beta query", date=D2),
+            make_list("defabc", engine="x", query="beta query", date=D3),
+            make_list("abcdef", engine="y", query="beta query", date=D1),
+        ])
+        expected = {
+            "alpha query": combined_similarity(
+                old.get("x", "alpha query", D2), new.get("x", "alpha query", D3), UNIT
+            ).score,
+            "beta query": combined_similarity(
+                old.get("x", "beta query", D1), new.get("x", "beta query", D2), UNIT
+            ).score,
+        }
+        scores = cross_period_drift(old, new, "x", UNIT)
+        assert scores == expected
+        assert list(scores) == ["alpha query", "beta query"]
+        assert len(set(scores.values())) == 2
 
     def test_no_shared_queries_rejected(self):
         old = SerpDataset.from_lists([make_list("ab", engine="x", query="one query")])

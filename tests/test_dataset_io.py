@@ -160,8 +160,9 @@ class TestLoadDataset:
                      "http://b.example.com/": "http://a.example.com/"}
                 ),
             ),
+            ("http://a.example.com:\u00b2/x", None),
         ],
-        ids=["unparsable", "redirect-loop"],
+        ids=["unparsable", "redirect-loop", "non-ascii-port"],
     )
     def test_normalize_error_names_line(self, tmp_path, url, cache):
         obj = json.loads(record_line())

@@ -1,9 +1,15 @@
+import datetime as dt
 import math
+import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serpsim import (
+    RankedList,
+    SearchResult,
     ValidationError,
     content_penalty,
     cosine_distance,
@@ -12,6 +18,18 @@ from serpsim import (
     tokenize,
 )
 from tests.conftest import make_list
+
+# Stopwords, query words in mixed case, plain words and non-ASCII words;
+# "" lets a text be separators only.
+_WORDS = ["the", "Of", "AND", "aurora", "AURORA", "Borealis", "solar", "panel", "2019",
+          "škoda", "naïve", "x", ""]
+_SEPARATORS = [" ", "_", "-", ", ", "!? ", "\t", "..."]
+_QUERIES = ["aurora borealis", "Aurora", "SOLAR panel 2019", "the aurora"]
+_STOPWORDS = [None, frozenset(), frozenset({"the", "of", "and", "solar"})]
+
+_texts = st.lists(
+    st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPARATORS)), max_size=8
+).map(lambda parts: "".join(word + sep for word, sep in parts))
 
 
 class TestTokenize:
@@ -58,6 +76,10 @@ class TestCosineDistance:
         assert cosine_distance(Counter({"x": 1}), Counter()) == 1.0
         assert cosine_distance(Counter(), Counter({"x": 1})) == 1.0
 
+    def test_same_vector_is_exactly_zero(self):
+        v = Counter({"alpha": 3, "beta": 2, "gamma": 7})
+        assert cosine_distance(v, v) == 0.0
+
     def test_equal_vectors_are_exactly_zero(self):
         v = Counter({"alpha": 3, "beta": 2, "gamma": 7})
         assert cosine_distance(v, Counter(v)) == 0.0
@@ -103,6 +125,48 @@ class TestContentPenalty:
         a = make_list("abcdef", engine="e1", flavor="plain")
         b = make_list("fedcba", engine="e2", flavor="alt")
         assert content_penalty(a, b, "snippet") == content_penalty(b, a, "snippet")
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        query=st.sampled_from(_QUERIES),
+        stopwords=st.sampled_from(_STOPWORDS),
+        field=st.sampled_from(["snippet", "title"]),
+        # per rank: is the URL shared, is its text equal on both sides, the two texts
+        slots=st.lists(
+            st.tuples(st.booleans(), st.booleans(), _texts, _texts), min_size=1, max_size=6
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_matches_per_url_reference_bit_for_bit(self, query, stopwords, field, slots, order):
+        def ranked(engine, entries):
+            return RankedList(engine, query, dt.date(2019, 7, 1), tuple(
+                SearchResult(url=url, rank=rank, **{"title": "x", "snippet": "x", field: text})
+                for rank, (url, text) in enumerate(entries, start=1)
+            ))
+
+        side_a = [(f"https://{i}.example.com/", ta) for i, (_, _, ta, _) in enumerate(slots)]
+        side_b = [
+            (f"https://{i if shared else f'b{i}'}.example.com/", ta if same else tb)
+            for i, (shared, same, ta, tb) in enumerate(slots)
+        ]
+        order.shuffle(side_b)
+        list_a, list_b = ranked("e1", side_a), ranked("e2", side_b)
+
+        text_a, text_b = dict(side_a), dict(side_b)
+        expected = sum(
+            cosine_distance(
+                tokenize(text_a[url], query, stopwords), tokenize(text_b[url], query, stopwords)
+            )
+            for url in sorted(text_a.keys() & text_b.keys())
+        )
+        assert content_penalty(list_a, list_b, field, stopwords) == expected
+        assert content_penalty(list_b, list_a, field, stopwords) == expected
+
+        drop = (default_stopwords() if stopwords is None else stopwords) | set(
+            re.findall(r"[^\W_]+", query.lower())
+        )
+        for text in text_a.values():
+            assert tokenize(text, query, stopwords) == tokenize(text, "", drop)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="length"):

@@ -95,6 +95,19 @@ class TestCanonicalize:
         with pytest.raises(UrlParseError):
             canonicalize(bad)
 
+    @pytest.mark.parametrize(
+        "port",
+        ["\u00b2", "\u0661\u0662", "8\uff10"],
+        ids=["superscript", "arabic-indic", "fullwidth"],
+    )
+    def test_non_ascii_port_digits_rejected(self, port):
+        with pytest.raises(UrlParseError, match="invalid port"):
+            canonicalize(f"http://example.com:{port}/x")
+
+    def test_port_longer_than_int_digit_limit(self):
+        port = "9" * 5000
+        assert canonicalize(f"http://example.com:000{port}/x") == f"http://example.com:{port}/x"
+
     def test_error_carries_url(self):
         with pytest.raises(UrlParseError) as exc_info:
             canonicalize("no-scheme-here")
