@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .combined import penalty_components, score_from_components
+from .combined import PenaltyComponents, penalty_components, score_from_components
 from .errors import ValidationError
 from .model import DEFAULT_CONFIG, MetricConfig, RankedList, SimilarityMatrix
 
@@ -22,6 +22,11 @@ from .model import DEFAULT_CONFIG, MetricConfig, RankedList, SimilarityMatrix
 RecordKey = tuple[str, str, dt.date]
 
 PairMetric = Callable[[RankedList, RankedList], float]
+
+#: An engine pair's date axis, query axis and ``(row, col, components)`` cells.
+PairComponents = tuple[
+    tuple[dt.date, ...], tuple[str, ...], list[tuple[int, int, PenaltyComponents]]
+]
 
 SWEEP_FACTORS = ("snippet", "title", "transposition")
 
@@ -32,7 +37,10 @@ class SerpDataset:
     """An indexed collection of ranked lists, one per (engine, query, date).
 
     ``categories`` optionally maps a query to a topic label; it is carried
-    along for reporting and never affects any score.
+    along for reporting and never affects any score. The dataset keeps
+    each engine pair's ``PenaltyComponents`` once measured, keyed by
+    ``(engine_a, engine_b, stopwords)``: one small object per shared
+    cell, reused by every later matrix and sweep over that pair.
     """
 
     def __init__(
@@ -42,6 +50,7 @@ class SerpDataset:
     ):
         self._records = dict(records)
         self.categories = dict(categories or {})
+        self._components: dict[tuple[str, str, frozenset[str] | None], PairComponents] = {}
         for key, ranked in self._records.items():
             if (ranked.engine, ranked.query, ranked.date) != key:
                 raise ValidationError(
@@ -113,19 +122,47 @@ def _shared_cells(
     """The date and query axes of an engine pair, and the cells both engines have.
 
     Axes are the sorted unions of each engine's dates and queries. Each
-    cell is ``(row, col, list_a, list_b)``, in date-major order.
+    cell is ``(row, col, list_a, list_b)``, in query-major order, so the
+    cells of one query are adjacent.
     """
     _require_engines(dataset, engine_a, engine_b)
     days = tuple(sorted(set(dataset.dates(engine_a)) | set(dataset.dates(engine_b))))
     queries = tuple(sorted(set(dataset.queries(engine_a)) | set(dataset.queries(engine_b))))
     cells = []
-    for i, day in enumerate(days):
-        for j, query in enumerate(queries):
+    for j, query in enumerate(queries):
+        for i, day in enumerate(days):
             list_a = dataset.get(engine_a, query, day)
             list_b = dataset.get(engine_b, query, day)
             if list_a is not None and list_b is not None:
                 cells.append((i, j, list_a, list_b))
     return days, queries, cells
+
+
+def _pair_components(
+    dataset: SerpDataset,
+    engine_a: str,
+    engine_b: str,
+    stopwords: frozenset[str] | None,
+) -> PairComponents:
+    """``_shared_cells`` with each cell's ``PenaltyComponents``, cached on the dataset.
+
+    The first call for a ``(engine_a, engine_b, stopwords)`` key measures
+    every cell, sharing one content memo among the cells of each query
+    and dropping it at the next, so memory stays bounded by one query's
+    texts. Later calls return the stored ``(days, queries, cells)``.
+    """
+    key = (engine_a, engine_b, stopwords)
+    cached = dataset._components.get(key)
+    if cached is None:
+        days, queries, pairs = _shared_cells(dataset, engine_a, engine_b)
+        cells = []
+        memo_col = None
+        for i, j, list_a, list_b in pairs:
+            if j != memo_col:
+                memo, memo_col = {}, j
+            cells.append((i, j, penalty_components(list_a, list_b, stopwords, memo=memo)))
+        cached = dataset._components[key] = (days, queries, cells)
+    return cached
 
 
 def similarity_matrix(
@@ -142,19 +179,20 @@ def similarity_matrix(
     Rows are the union of dates, columns the union of queries (both
     sorted); a cell is None when either engine lacks that list. The
     default metric is the combined score; pass ``metric_fn`` to grade
-    the same grid with a baseline metric instead.
+    the same grid with a baseline metric instead. The combined score
+    reads the pair's cached penalties (see ``SerpDataset``), so a later
+    matrix under other weights measures nothing again.
     """
-    days, queries, cells = _shared_cells(dataset, engine_a, engine_b)
-
     if metric_fn is None:
-        def metric_fn(list_a: RankedList, list_b: RankedList) -> float:
-            return score_from_components(
-                penalty_components(list_a, list_b, stopwords), cfg
-            ).score
+        days, queries, measured = _pair_components(dataset, engine_a, engine_b, stopwords)
+        cells = [(i, j, score_from_components(comp, cfg).score) for i, j, comp in measured]
+    else:
+        days, queries, pairs = _shared_cells(dataset, engine_a, engine_b)
+        cells = [(i, j, metric_fn(list_a, list_b)) for i, j, list_a, list_b in pairs]
 
     grid: list[list[float | None]] = [[None] * len(queries) for _ in days]
-    for i, j, list_a, list_b in cells:
-        grid[i][j] = metric_fn(list_a, list_b)
+    for i, j, value in cells:
+        grid[i][j] = value
 
     return SimilarityMatrix(
         engine_pair=(engine_a, engine_b),
@@ -233,7 +271,8 @@ def impact_sweep(
 
     The baseline sets all three penalty weights to zero; ``boost_weights``
     apply throughout, so positional agreement still counts. Each step re-scores
-    every cell from cached penalties, then reports the mean's percentage
+    every cell from the pair's cached penalties (the ones ``similarity_matrix``
+    uses; see ``SerpDataset``), then reports the mean's percentage
     decrease. Raises if the baseline mean is zero, since a percentage
     decrease is undefined there.
     """
@@ -250,10 +289,8 @@ def impact_sweep(
         if cur <= prev:
             raise ValidationError(f"weight steps must be strictly increasing, got {steps}")
 
-    _, _, cells = _shared_cells(dataset, engine_a, engine_b)
-    components = [
-        penalty_components(list_a, list_b, stopwords) for _, _, list_a, list_b in cells
-    ]
+    _, _, cells = _pair_components(dataset, engine_a, engine_b, stopwords)
+    components = [comp for _, _, comp in cells]
     if not components:
         raise ValidationError(
             f"no overlapping (query, date) cells for {engine_a} vs {engine_b}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .model import DEFAULT_CONFIG, MetricConfig, RankedList
 from .rank_metrics import RankAlignment, transposition_penalty
-from .textsim import content_penalty
+from .textsim import ContentMemo, content_penalty
 
 _EPS = 1e-9
 
@@ -33,8 +33,10 @@ class PenaltyComponents:
     """Everything about a list pair that is independent of the weights.
 
     Computing these once lets callers re-score the same pair under many
-    weight settings without re-tokenizing. ``agreements`` holds the
-    1-based positions where both lists show the same URL.
+    weight settings without re-tokenizing: a ``SerpDataset`` keeps one
+    per shared cell for each engine pair and stopword set, which
+    ``similarity_matrix`` and ``impact_sweep`` reuse. ``agreements``
+    holds the 1-based positions where both lists show the same URL.
     """
 
     n: int
@@ -96,10 +98,18 @@ def penalty_components(
     list_a: RankedList,
     list_b: RankedList,
     stopwords: frozenset[str] | None = None,
+    *,
+    memo: ContentMemo | None = None,
 ) -> PenaltyComponents:
-    """Measure the config-independent penalties for a pair of lists."""
-    snippet = content_penalty(list_a, list_b, "snippet", stopwords)
-    title = content_penalty(list_a, list_b, "title", stopwords)
+    """Measure the config-independent penalties for a pair of lists.
+
+    ``memo`` is passed to ``content_penalty`` for both fields; it changes
+    speed, never a result. ``None`` uses a fresh one for this call.
+    """
+    if memo is None:
+        memo = {}
+    snippet = content_penalty(list_a, list_b, "snippet", stopwords, memo=memo)
+    title = content_penalty(list_a, list_b, "title", stopwords, memo=memo)
     alignment = RankAlignment.from_lists(list_a, list_b)
     agreements = tuple(
         i
@@ -132,9 +142,8 @@ def score_from_components(
         )
         base = (3 * m + 1 - deductions) / (3 * components.n + 1)
         base = min(1.0, max(0.0, base))
-        eligible = sum(
-            cfg.boost_weights[i - 1] for i in components.agreements if i <= cfg.r
-        )
+        weights, r = cfg.boost_weights, cfg.r
+        eligible = sum(weights[i - 1] for i in components.agreements if i <= r)
         boost = eligible * (1.0 - base)
     return SimilarityBreakdown(
         common_count=m,

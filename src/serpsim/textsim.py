@@ -98,17 +98,29 @@ def cosine_distance(v1: Counter[str], v2: Counter[str]) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
+#: Per-(query, stopwords) work shared across calls: the drop set, text →
+#: term vector, and unordered (text, text) → distance.
+ContentMemo = dict[tuple[str, frozenset[str] | None], tuple[frozenset[str], dict, dict]]
+
+
 def content_penalty(
     list_a: RankedList,
     list_b: RankedList,
     field: ContentField,
     stopwords: frozenset[str] | None = None,
+    *,
+    memo: ContentMemo | None = None,
 ) -> float:
     """Summed cosine distances of ``field`` over the shared URLs.
 
     Ranges over [0, m] where m is the number of URLs the lists share.
     Iteration follows sorted URL order so the result is bitwise
     symmetric in its two list arguments.
+
+    ``memo`` changes speed, never a result: pass the same dict to calls
+    that share texts to tokenize each text and compare each text pair
+    once. Its entries are keyed by ``(query, stopwords)``, so one memo
+    may span queries and stopword sets; ``None`` uses a fresh one.
     """
     if list_a.n != list_b.n:
         raise ValidationError(
@@ -118,13 +130,27 @@ def content_penalty(
         raise ValidationError(
             f"lists answer different queries: {list_a.query!r} vs {list_b.query!r}"
         )
-    drop = default_stopwords() if stopwords is None else stopwords
-    drop = drop | set(_TOKEN_RE.findall(list_a.query.lower()))
+    if memo is None:
+        memo = {}
+    key = (list_a.query, stopwords)
+    if key not in memo:
+        drop = default_stopwords() if stopwords is None else stopwords
+        memo[key] = (drop | set(_TOKEN_RE.findall(list_a.query.lower())), {}, {})
+    drop, vectors, distances = memo[key]
+
+    def vector(text: str) -> Counter[str]:
+        v = vectors.get(text)
+        if v is None:
+            v = vectors[text] = tokenize(text, "", drop)
+        return v
 
     def distance(a: str, b: str) -> float:
         # equal texts share one vector, which cosine_distance sees as identical
-        v = tokenize(a, "", drop)
-        return cosine_distance(v, v if a == b else tokenize(b, "", drop))
+        pair = (a, b) if a <= b else (b, a)
+        d = distances.get(pair)
+        if d is None:
+            d = distances[pair] = cosine_distance(vector(a), vector(b))
+        return d
 
     text_a = {r.url: getattr(r, field) for r in list_a.results}
     text_b = {r.url: getattr(r, field) for r in list_b.results}

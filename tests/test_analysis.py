@@ -1,16 +1,26 @@
 import datetime as dt
+import itertools
+import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serpsim import (
+    DEFAULT_CONFIG,
     MetricConfig,
+    RankedList,
+    SearchResult,
     SerpDataset,
     ValidationError,
+    analysis,
     combined_similarity,
     consistency_series,
     cross_period_drift,
     impact_sweep,
     pair_summary,
+    penalty_components,
+    score_from_components,
     similarity_matrix,
     spearman_footrule_sim,
 )
@@ -87,6 +97,155 @@ class TestSimilarityMatrix:
     def test_unknown_engine_rejected(self, grid_dataset):
         with pytest.raises(ValidationError, match="not in dataset"):
             similarity_matrix(grid_dataset, "x", "nope", UNIT)
+
+
+QUERIES = ("alpha", "beta", "alpha gamma")
+# holds the tokens of every query, so each query strips it differently
+SHARED_TEXT = "alpha beta gamma word"
+TEXTS = (SHARED_TEXT, "beta word", "word note", "Alpha, ALPHA gamma", "note", "", "the word")
+URL_KEYS = "abcdef"
+STOPWORD_SETS = (None, frozenset(), frozenset({"word"}), frozenset({"gamma", "note"}))
+
+
+@st.composite
+def repeating_datasets(draw) -> SerpDataset:
+    """Two or three engines, queries and dates whose texts repeat.
+
+    Each URL has two (title, snippet) variants shared by every list it
+    appears in, so a text recurs across dates, engines and queries. URL
+    "a" heads the first date's lists of the first two queries for the
+    first two engines, carrying ``SHARED_TEXT`` under both queries.
+    """
+    engines = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    queries = QUERIES[: draw(st.integers(2, 3))]
+    days = (D1, D2, D3)[: draw(st.integers(2, 3))]
+    n = draw(st.integers(1, 4))
+    text = st.sampled_from(TEXTS)
+    variants = {(key, v): (draw(text), draw(text)) for key in URL_KEYS for v in (0, 1)}
+    variants["a", 0] = (SHARED_TEXT, SHARED_TEXT)
+    lists = []
+    for (e, engine), (q, query), day in itertools.product(
+        enumerate(engines), enumerate(queries), days
+    ):
+        forced = day == D1 and e < 2 and q < 2
+        if not forced and draw(st.integers(0, 3)) == 0:
+            continue
+        keys = list(draw(st.permutations(URL_KEYS)))
+        if forced:
+            keys.remove("a")
+            keys.insert(0, "a")
+        results = []
+        for rank, key in enumerate(keys[:n], start=1):
+            v = 0 if forced and rank == 1 else draw(st.integers(0, 1))
+            title, snippet = variants[key, v]
+            results.append(SearchResult(
+                url=f"https://{key}.example.com/", title=title, snippet=snippet, rank=rank
+            ))
+        lists.append(RankedList(engine, query, day, tuple(results)))
+    return SerpDataset.from_lists(lists)
+
+
+def _fresh_sweep(dataset, engine_a, engine_b, factor, stopwords):
+    """``impact_sweep``'s base_mean and decrease_pct from fresh per-cell components."""
+    components = [
+        penalty_components(list_a, list_b, stopwords)
+        for day in dataset.dates()
+        for query in dataset.queries()
+        if (list_a := dataset.get(engine_a, query, day)) is not None
+        and (list_b := dataset.get(engine_b, query, day)) is not None
+    ]
+
+    def mean(weight):
+        penalties = dict.fromkeys("abc", 0.0)
+        penalties["abc"[analysis.SWEEP_FACTORS.index(factor)]] = weight
+        cfg = MetricConfig(**penalties, boost_weights=DEFAULT_CONFIG.boost_weights)
+        return statistics.fmean(score_from_components(c, cfg).score for c in components)
+
+    base = mean(0.0)
+    drops = [100.0 * (base - mean(step)) / base for step in analysis.DEFAULT_SWEEP_STEPS]
+    return base, tuple(0.0 if -1e-9 <= d < 0.0 else d for d in drops)
+
+
+class TestCachedComponents:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        dataset=repeating_datasets(),
+        stopwords=st.lists(st.sampled_from(STOPWORD_SETS), min_size=2, max_size=2),
+        weights=st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)),
+        factor=st.sampled_from(analysis.SWEEP_FACTORS),
+    )
+    def test_matches_fresh_per_cell_scores_bit_for_bit(self, dataset, stopwords, weights, factor):
+        cfgs = (DEFAULT_CONFIG, MetricConfig(*weights))
+        engines = dataset.engines()
+        for sw, cfg in zip(stopwords, cfgs):
+            for engine_a, engine_b in itertools.permutations(engines, 2):
+                matrix = similarity_matrix(dataset, engine_a, engine_b, cfg, stopwords=sw)
+                for day, row in zip(matrix.days, matrix.values):
+                    for query, value in zip(matrix.queries, row):
+                        list_a = dataset.get(engine_a, query, day)
+                        list_b = dataset.get(engine_b, query, day)
+                        if list_a is None or list_b is None:
+                            assert value is None
+                        else:
+                            expected = combined_similarity(list_a, list_b, cfg, sw).score
+                            assert value == expected, (engine_a, engine_b, query, day, sw)
+            base, drops = _fresh_sweep(dataset, *engines[:2], factor, sw)
+            if base <= 0.0:
+                with pytest.raises(ValidationError, match="zero"):
+                    impact_sweep(dataset, *engines[:2], factor, stopwords=sw)
+            else:
+                report = impact_sweep(dataset, *engines[:2], factor, stopwords=sw)
+                assert (report.base_mean, report.decrease_pct) == (base, drops)
+
+
+@pytest.fixture
+def counted(monkeypatch) -> list:
+    """Arguments of every ``penalty_components`` call made by ``analysis``."""
+    calls = []
+    original = analysis.penalty_components
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "penalty_components", counting)
+    return calls
+
+
+def _copy(dataset: SerpDataset) -> SerpDataset:
+    return SerpDataset.from_lists(dataset.get(*key) for key in dataset)
+
+
+class TestComponentCacheKey:
+    def test_new_weights_and_sweep_measure_nothing_again(self, grid_dataset, counted):
+        similarity_matrix(grid_dataset, "x", "y")
+        assert len(counted) == 3
+        matrix = similarity_matrix(grid_dataset, "x", "y", UNIT)
+        report = impact_sweep(grid_dataset, "x", "y", "title")
+        assert len(counted) == 3
+        assert matrix == similarity_matrix(_copy(grid_dataset), "x", "y", UNIT)
+        assert report == impact_sweep(_copy(grid_dataset), "x", "y", "title")
+
+    def test_stopwords_are_part_of_the_key(self, counted):
+        dataset = SerpDataset.from_lists([
+            make_list("ab", engine="x"),
+            make_list("ab", engine="y", snippet_flavor="alt"),
+        ])
+        # every snippet word of URL a: its snippets become equal (empty)
+        stopwords = frozenset({"snippeta", "texta", "infoa", "wordsa", "bodya", "prosea"})
+        default = similarity_matrix(dataset, "x", "y", UNIT)
+        stripped = similarity_matrix(dataset, "x", "y", UNIT, stopwords=stopwords)
+        assert len(counted) == 2
+        assert stripped == similarity_matrix(_copy(dataset), "x", "y", UNIT, stopwords=stopwords)
+        assert stripped.values != default.values
+
+    def test_metric_fn_ignores_cached_components(self, grid_dataset):
+        similarity_matrix(grid_dataset, "x", "y", UNIT)
+        footrule = similarity_matrix(grid_dataset, "x", "y", metric_fn=spearman_footrule_sim)
+        assert footrule == similarity_matrix(
+            _copy(grid_dataset), "x", "y", metric_fn=spearman_footrule_sim
+        )
+        assert footrule.cell(D1, "beta query") == 0.0
 
 
 class TestConsistencySeries:

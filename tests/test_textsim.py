@@ -168,6 +168,25 @@ class TestContentPenalty:
         for text in text_a.values():
             assert tokenize(text, query, stopwords) == tokenize(text, "", drop)
 
+    def test_memo_never_crosses_queries_or_stopwords(self):
+        # one text under two queries whose tokens it contains
+        def ranked(engine, query, snippet):
+            return RankedList(engine, query, dt.date(2019, 7, 1), (
+                SearchResult(url="https://a.example.com/", title="t", snippet=snippet, rank=1),
+            ))
+
+        memo = {}
+        for query in ("aurora", "solar", "aurora"):
+            for stopwords in (None, frozenset({"borealis"}), None):
+                pair = (ranked("e1", query, "aurora solar borealis"),
+                        ranked("e2", query, "aurora borealis"))
+                fresh = content_penalty(*pair, "snippet", stopwords)
+                assert content_penalty(*pair, "snippet", stopwords, memo=memo) == fresh
+        assert sorted(memo, key=repr) == sorted(
+            [(q, sw) for q in ("aurora", "solar") for sw in (None, frozenset({"borealis"}))],
+            key=repr,
+        )
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="length"):
             content_penalty(make_list("abc"), make_list("ab"), "snippet")
