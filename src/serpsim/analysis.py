@@ -14,7 +14,9 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .combined import PenaltyComponents, penalty_components, score_from_components
+from .combined import (
+    PenaltyComponents, combined_similarity, penalty_components, score_from_components,
+)
 from .errors import ValidationError
 from .model import DEFAULT_CONFIG, MetricConfig, RankedList, SimilarityMatrix
 
@@ -359,7 +361,5 @@ def cross_period_drift(
             raise ValidationError(
                 f"no record for {engine}/{query} on the requested date"
             )
-        scores[query] = score_from_components(
-            penalty_components(list_old, list_new, stopwords), cfg
-        ).score
+        scores[query] = combined_similarity(list_old, list_new, cfg, stopwords).score
     return scores

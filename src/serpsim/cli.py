@@ -13,6 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 data or I/O error. All numeric
 output is fixed to 4 decimals so runs are byte-for-byte reproducible.
+Each command returns its whole report and ``run_cli`` alone writes it,
+so a command that fails writes nothing to stdout or ``-o``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 from . import analysis, dataset_io
 from .combined import combined_similarity
 from .errors import DatasetError, SerpSimError
-from .model import DEFAULT_BOOST_WEIGHTS, MetricConfig, SimilarityMatrix
+from .model import DEFAULT_BOOST_WEIGHTS, DEFAULT_CONFIG, MetricConfig, SimilarityMatrix
 from .rank_metrics import (
     jaro_sim,
     jaro_winkler_sim,
@@ -56,33 +58,25 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-def _parse_weights(text: str) -> tuple[float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
+def _parse_floats(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(p) for p in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _parse_weights(text: str) -> tuple[float, ...]:
+    if text.count(",") != 2:
         raise argparse.ArgumentTypeError(
             f"expected three comma-separated weights, got {text!r}"
         )
-    try:
-        a, b, c = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return a, b, c
+    return _parse_floats(text)
 
 
 def _parse_boost(text: str) -> tuple[float, ...]:
     if text.strip().lower() in ("", "none"):
         return ()
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _parse_steps(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return _parse_floats(text)
 
 
 def _parse_date(text: str) -> dt.date:
@@ -98,14 +92,17 @@ def _shared_options() -> tuple[argparse.ArgumentParser, ...]:
     weights, content, metric, loading = (
         argparse.ArgumentParser(add_help=False) for _ in range(4)
     )
+    default_weights = (DEFAULT_CONFIG.a, DEFAULT_CONFIG.b, DEFAULT_CONFIG.c)
     weights.add_argument_group("scoring").add_argument(
-        "--weights", type=_parse_weights, default=(0.8, 1.0, 0.8), metavar="A,B,C",
-        help="snippet, title and transposition penalty weights (default 0.8,1.0,0.8)",
+        "--weights", type=_parse_weights, default=default_weights, metavar="A,B,C",
+        help="snippet, title and transposition penalty weights "
+        f"(default {','.join(map(str, default_weights))})",
     )
     scoring = content.add_argument_group("scoring")
     scoring.add_argument(
         "--boost", type=_parse_boost, default=DEFAULT_BOOST_WEIGHTS, metavar="W1,..",
-        help="positional agreement boost weights, or 'none' (default 0.15,0.1,0.07,0.03,0.01)",
+        help="positional agreement boost weights, or 'none' "
+        f"(default {','.join(map(str, DEFAULT_BOOST_WEIGHTS))})",
     )
     scoring.add_argument(
         "--stopwords", metavar="PATH",
@@ -166,7 +163,7 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> str:
     if args.files:
         if len(args.files) != 2:
             raise UsageError("compare needs exactly two record files")
@@ -194,19 +191,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if list_b is None:
             raise SerpSimError(f"no record for {args.engine_b}/{args.query}/{date_b}")
 
-    print(f"metric\t{args.metric}")
+    lines = [f"metric\t{args.metric}\n"]
     if args.metric == "combined":
         breakdown = combined_similarity(list_a, list_b, _config(args), _stopwords(args))
-        print(f"score\t{_fmt(breakdown.score)}")
-        print(f"base_score\t{_fmt(breakdown.base_score)}")
-        print(f"boost\t{_fmt(breakdown.boost)}")
-        print(f"common_count\t{breakdown.common_count}")
-        print(f"snippet_penalty\t{_fmt(breakdown.snippet_penalty)}")
-        print(f"title_penalty\t{_fmt(breakdown.title_penalty)}")
-        print(f"transposition_penalty\t{_fmt(breakdown.transposition_penalty)}")
+        lines += [
+            f"score\t{_fmt(breakdown.score)}\n",
+            f"base_score\t{_fmt(breakdown.base_score)}\n",
+            f"boost\t{_fmt(breakdown.boost)}\n",
+            f"common_count\t{breakdown.common_count}\n",
+            f"snippet_penalty\t{_fmt(breakdown.snippet_penalty)}\n",
+            f"title_penalty\t{_fmt(breakdown.title_penalty)}\n",
+            f"transposition_penalty\t{_fmt(breakdown.transposition_penalty)}\n",
+        ]
     else:
-        print(f"score\t{_fmt(BASELINE_METRICS[args.metric](list_a, list_b))}")
-    return 0
+        lines.append(f"score\t{_fmt(BASELINE_METRICS[args.metric](list_a, list_b))}\n")
+    return "".join(lines)
 
 
 def _matrix_from_args(args: argparse.Namespace) -> SimilarityMatrix:
@@ -221,9 +220,8 @@ def _matrix_from_args(args: argparse.Namespace) -> SimilarityMatrix:
     )
 
 
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    _write_or_print(dataset_io.format_matrix(_matrix_from_args(args)), args.output)
-    return 0
+def _cmd_matrix(args: argparse.Namespace) -> str:
+    return dataset_io.format_matrix(_matrix_from_args(args))
 
 
 def _matrix_or_file(args: argparse.Namespace) -> SimilarityMatrix:
@@ -245,27 +243,25 @@ def _matrix_or_file(args: argparse.Namespace) -> SimilarityMatrix:
     return _matrix_from_args(args)
 
 
-def _cmd_consistency(args: argparse.Namespace) -> int:
+def _cmd_consistency(args: argparse.Namespace) -> str:
     matrix = _matrix_or_file(args)
     lines = [f"# pair\t{matrix.engine_pair[0]}\t{matrix.engine_pair[1]}\n"]
     for day, value in analysis.consistency_series(matrix):
         cell = "NA" if value is None else _fmt(value)
         lines.append(f"{day.isoformat()}\t{cell}\n")
-    _write_or_print("".join(lines), args.output)
-    return 0
+    return "".join(lines)
 
 
-def _cmd_summary(args: argparse.Namespace) -> int:
+def _cmd_summary(args: argparse.Namespace) -> str:
     matrix = _matrix_or_file(args)
     stats = analysis.pair_summary(matrix)
     lines = [f"# pair\t{matrix.engine_pair[0]}\t{matrix.engine_pair[1]}\n"]
     for key in ("mean", "median", "min", "max"):
         lines.append(f"{key}\t{_fmt(stats[key])}\n")
-    _write_or_print("".join(lines), args.output)
-    return 0
+    return "".join(lines)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> str:
     dataset = dataset_io.load_dataset(args.dataset, **_loader_options(args))
     report = analysis.impact_sweep(
         dataset,
@@ -282,11 +278,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ]
     for step, pct in zip(report.weight_steps, report.decrease_pct):
         lines.append(f"{step:.2f}\t{pct:.2f}\n")
-    _write_or_print("".join(lines), args.output)
-    return 0
+    return "".join(lines)
 
 
-def _cmd_drift(args: argparse.Namespace) -> int:
+def _cmd_drift(args: argparse.Namespace) -> str:
     options = _loader_options(args)
     dataset_old = dataset_io.load_dataset(args.old, **options)
     dataset_new = dataset_io.load_dataset(args.new, **options)
@@ -303,16 +298,16 @@ def _cmd_drift(args: argparse.Namespace) -> int:
     for query in sorted(scores):
         lines.append(f"{query}\t{_fmt(scores[query])}\n")
     lines.append(f"mean\t{_fmt(statistics.fmean(scores.values()))}\n")
-    _write_or_print("".join(lines), args.output)
-    return 0
+    return "".join(lines)
 
 
-def _cmd_normalize_urls(args: argparse.Namespace) -> int:
+def _cmd_normalize_urls(args: argparse.Namespace) -> str:
     if args.file == "-":
         text = sys.stdin.read()
     else:
         text = Path(args.file).read_text(encoding="utf-8")
     cache = RedirectCache.from_file(args.redirects) if args.redirects else None
+    lines = []
     for line in text.splitlines():
         url = line.strip()
         if not url or url.startswith("#"):
@@ -320,11 +315,11 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> int:
         canonical = canonicalize(url, sort_query=args.sort_query, strip_www=args.strip_www)
         if cache is not None:
             canonical = resolve_redirects(canonical, cache, "offline")
-        print(canonical)
-    return 0
+        lines.append(f"{canonical}\n")
+    return "".join(lines)
 
 
-def _cmd_import(args: argparse.Namespace) -> int:
+def _cmd_import(args: argparse.Namespace) -> str:
     try:
         mapping = json.loads(Path(args.mapping).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -332,8 +327,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
     if not isinstance(mapping, dict):
         raise DatasetError("mapping must be a JSON object", args.mapping)
     dataset = dataset_io.import_dataset(args.input, mapping, **_loader_options(args))
-    _write_or_print(dataset_io.dumps_dataset(dataset), args.output)
-    return 0
+    return dataset_io.dumps_dataset(dataset)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--factor", required=True, choices=analysis.SWEEP_FACTORS,
     )
     sweep.add_argument(
-        "--steps", type=_parse_steps, default=analysis.DEFAULT_SWEEP_STEPS,
+        "--steps", type=_parse_floats, default=analysis.DEFAULT_SWEEP_STEPS,
         metavar="W1,..", help="weights to try (default 0.1..1.0)",
     )
     sweep.add_argument("-o", "--output", metavar="PATH")
@@ -430,7 +424,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        _write_or_print(args.func(args), getattr(args, "output", None))
     except BrokenPipeError:
         return 0
     except UsageError as exc:
@@ -439,6 +433,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except (SerpSimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

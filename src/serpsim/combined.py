@@ -103,11 +103,9 @@ def penalty_components(
 ) -> PenaltyComponents:
     """Measure the config-independent penalties for a pair of lists.
 
-    ``memo`` is passed to ``content_penalty`` for both fields; it changes
-    speed, never a result. ``None`` uses a fresh one for this call.
+    ``memo`` is passed to ``content_penalty`` for both fields (``None``
+    gives each field a fresh one); it changes speed, never a result.
     """
-    if memo is None:
-        memo = {}
     snippet = content_penalty(list_a, list_b, "snippet", stopwords, memo=memo)
     title = content_penalty(list_a, list_b, "title", stopwords, memo=memo)
     alignment = RankAlignment.from_lists(list_a, list_b)

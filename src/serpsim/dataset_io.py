@@ -257,18 +257,11 @@ def read_matrix(path: str | Path) -> SimilarityMatrix:
 def _mapped_value(
     obj: Mapping[str, Any], mapping: Mapping[str, Any], field: str, path: str, lineno: int
 ) -> Any:
-    """Resolve one field of an import mapping: source key or {"const": ...}."""
+    """Resolve one field of an import mapping, whose spec ``import_dataset``
+    has checked: a source key, or {"const": value}."""
     spec = mapping[field]
     if isinstance(spec, dict):
-        if set(spec) != {"const"}:
-            raise DatasetError(
-                f"mapping for {field!r} must be a source key or {{\"const\": value}}",
-                path,
-                lineno,
-            )
         return spec["const"]
-    if not isinstance(spec, str):
-        raise DatasetError(f"mapping for {field!r} must be a string key", path, lineno)
     if spec not in obj:
         raise DatasetError(f"source field {spec!r} (for {field!r}) not found", path, lineno)
     return obj[spec]
@@ -309,6 +302,13 @@ def import_dataset(
     for required in ("engine", "query", "date", "rank", "url"):
         if required not in mapping:
             raise ValidationError(f"import mapping lacks required field {required!r}")
+    for field in ("engine", "query", "date", "rank", "url", "title", "snippet", "category"):
+        spec = mapping.get(field, "")  # an absent optional field has nothing to check
+        if not isinstance(spec, str) and not (isinstance(spec, dict) and set(spec) == {"const"}):
+            raise ValidationError(
+                f"import mapping field {field!r} must be a source key or "
+                f"{{\"const\": value}}, got {spec!r}"
+            )
     date_format = mapping.get("date_format")
     if date_format is not None and not isinstance(date_format, str):
         raise ValidationError(

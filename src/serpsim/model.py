@@ -95,7 +95,8 @@ class MetricConfig:
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"weight {name} must lie in [0, 1], got {value}")
         weights = self.boost_weights
-        if any(w <= 0.0 for w in weights):
+        # "not w > 0" rather than "w <= 0", which NaN would pass
+        if not all(w > 0.0 for w in weights):
             raise ValidationError("boost weights must be strictly positive")
         if any(weights[i] <= weights[i + 1] for i in range(len(weights) - 1)):
             raise ValidationError(f"boost weights must be strictly descending, got {weights}")

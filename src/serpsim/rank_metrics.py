@@ -85,16 +85,12 @@ def transposition_penalty(alignment: RankAlignment) -> float:
 
 
 def spearman_footrule_sim(list_a: RankedList, list_b: RankedList) -> float:
-    """1 minus the normalized total displacement of shared URLs.
+    """1 minus the transposition penalty: the normalized total displacement of shared URLs.
 
     Degenerate alignments (no shared URLs, or too short to displace)
     score 1.0: there is no rank evidence of disagreement.
     """
-    alignment = RankAlignment.from_lists(list_a, list_b)
-    bound = max_total_displacement(alignment.m, alignment.n)
-    if bound == 0:
-        return 1.0
-    return 1.0 - alignment.total_displacement() / bound
+    return 1.0 - transposition_penalty(RankAlignment.from_lists(list_a, list_b))
 
 
 def kendall_tau_sim(list_a: RankedList, list_b: RankedList) -> float:

@@ -96,8 +96,8 @@ def canonicalize(url: str, *, sort_query: bool = False, strip_www: bool = False)
     - query-parameter order preserved (``sort_query=True`` to sort)
     - the result is its own canonical form
 
-    ``strip_www`` additionally drops a leading "www." host label; it is
-    off by default because it is not universally content-preserving.
+    ``strip_www`` additionally drops every leading "www." host label; it
+    is off by default because it is not universally content-preserving.
     """
     canonical = _canonicalize_once(url, sort_query, strip_www)
     # whitespace the rewrites left at the end (before a dropped fragment or
@@ -125,7 +125,7 @@ def _canonicalize_once(url: str, sort_query: bool, strip_www: bool) -> str:
         host = host.lower()
         if any(ch.isspace() for ch in host):
             raise UrlParseError(url, f"whitespace in host {host!r}")
-        if strip_www and host.startswith("www."):
+        while strip_www and host.startswith("www."):
             host = host[4:]
         if not host:
             raise UrlParseError(url, "empty host")

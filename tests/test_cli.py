@@ -1,13 +1,18 @@
+import codecs
 import datetime as dt
 import io
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from serpsim import (
     RedirectCache,
     SerpDataset,
+    ValidationError,
     format_matrix,
     impact_sweep,
     kendall_tau_sim,
@@ -16,6 +21,7 @@ from serpsim import (
     spearman_footrule_sim,
     write_dataset,
 )
+from serpsim import cli
 from serpsim.cli import run_cli
 from tests.conftest import make_list
 
@@ -133,6 +139,19 @@ class TestCompare:
             ["compare", str(tmp_path / "nope.jsonl"), str(tmp_path / "nada.jsonl")]
         )
         assert code == 2
+
+    def test_failed_scoring_writes_nothing(self, data_dir, monkeypatch, capsys):
+        def fail(*args):
+            raise ValidationError("scoring failed")
+
+        monkeypatch.setattr(cli, "combined_similarity", fail)
+        code = run_cli(
+            ["compare", str(data_dir / "pair_a.jsonl"), str(data_dir / "pair_b_same.jsonl")]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: scoring failed\n"
 
 
 class TestArgHandling:
@@ -432,6 +451,13 @@ class TestNormalizeUrls:
         path.write_text("not-a-url\n", encoding="utf-8")
         assert run_cli(["normalize-urls", str(path)]) == 2
 
+    def test_bad_url_after_good_one_writes_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("http://a.com/x\nnot-a-url\n"))
+        assert run_cli(["normalize-urls", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "not-a-url" in err
+
     def test_sort_query_flag(self, tmp_path, capsys):
         path = tmp_path / "urls.txt"
         path.write_text("http://example.com/?b=2&a=1\n", encoding="utf-8")
@@ -489,3 +515,53 @@ class TestImport:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_examples() -> list:
+    """Each ``$ serpsim ...`` command in README's text blocks, with the lines it shows.
+
+    A trailing backslash continues a command; its output runs until a blank
+    line, the next command or the end of the block.
+    """
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in re.findall(r"^```text\n(.*?)^```", readme, flags=re.M | re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, shown = chunk.replace("\\\n", "").partition("\n")
+            subcommand = command.split("|")[-1].split()[1]
+            examples.append(
+                pytest.param(command, shown.split("\n\n")[0].splitlines(), id=subcommand)
+            )
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    def test_every_example_is_found(self):
+        assert [example.id for example in README_EXAMPLES] == [
+            "compare", "matrix", "consistency", "drift", "sweep", "normalize-urls"
+        ]
+
+    @pytest.mark.parametrize("command,expected", README_EXAMPLES)
+    def test_example_prints_what_readme_shows(self, command, expected, monkeypatch, capsys):
+        monkeypatch.chdir(REPO_ROOT)
+        tokens = shlex.split(command)
+        if "|" in tokens:
+            # printf 'TEXT' | serpsim ...: the printf argument is the command's stdin
+            pipe = tokens.index("|")
+            assert tokens[:pipe - 1] == ["printf"]
+            stdin = codecs.decode(tokens[pipe - 1], "unicode_escape")
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            tokens = tokens[pipe + 1:]
+        assert tokens[0] == "serpsim"
+        assert run_cli(tokens[1:]) == 0
+        out = capsys.readouterr().out.splitlines()
+        if expected[-1] == "...":
+            expected = expected[:-1]
+            out = out[: len(expected)]
+        assert out == expected

@@ -357,6 +357,14 @@ class TestImport:
         assert ds.get("7", "42", D1).results[0].title == "1.5"
         assert ds.categories == {"42": "3"}
 
+    @pytest.mark.parametrize("spec", [5, None, ["t"], {"const": "x", "extra": 1}, {}])
+    def test_bad_field_spec_rejected_before_any_row(self, tmp_path, spec):
+        path = write_jsonl(tmp_path)
+        mapping = {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "u",
+                   "title": spec}
+        with pytest.raises(ValidationError, match="import mapping field 'title'"):
+            import_dataset(path, mapping)
+
     def test_non_string_date_format_rejected(self, tmp_path):
         mapping = {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "u"}
         mapping["date_format"] = 5

@@ -96,6 +96,11 @@ class TestMetricConfig:
         with pytest.raises(ValidationError, match="positive"):
             MetricConfig(a=1, b=1, c=1, boost_weights=(0.2, 0.0))
 
+    @pytest.mark.parametrize("weights", [(float("nan"),), (0.2, float("nan"))])
+    def test_nan_boost_rejected(self, weights):
+        with pytest.raises(ValidationError, match="positive"):
+            MetricConfig(a=1, b=1, c=1, boost_weights=weights)
+
     def test_boost_sum_capped(self):
         with pytest.raises(ValidationError, match="sum"):
             MetricConfig(a=1, b=1, c=1, boost_weights=(0.9, 0.2))

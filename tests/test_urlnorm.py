@@ -12,6 +12,16 @@ from serpsim import (
 )
 
 
+def _urls(authorities: list[str]) -> st.SearchStrategy[str]:
+    """Messy URLs: a scheme, one of ``authorities`` and a random path, query and fragment."""
+    return st.builds(
+        "{}:{}{}".format,
+        st.sampled_from(["http", "HTTPS", "ftp", "file", "mailto", "x"]),
+        st.sampled_from(authorities),
+        st.text(alphabet="aZ09-._~%/?#:@!$&'()*+,;=[] \t\xa0\x1cé", max_size=24),
+    )
+
+
 class TestCanonicalize:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -63,18 +73,23 @@ class TestCanonicalize:
         assert canonicalize(expected) == expected
 
     @settings(max_examples=1000, deadline=None)
-    @given(url=st.builds(
-        "{}:{}{}".format,
-        st.sampled_from(["http", "HTTPS", "ftp", "file", "mailto", "x"]),
-        st.sampled_from(["", "//", "//Ex.COM", "//u%41@[::1]:80", "//www.a:08080"]),
-        st.text(alphabet="aZ09-._~%/?#:@!$&'()*+,;=[] \t\xa0\x1cé", max_size=24),
-    ))
+    @given(url=_urls(["", "//", "//Ex.COM", "//u%41@[::1]:80", "//www.a:08080"]))
     def test_idempotent(self, url):
         try:
             once = canonicalize(url)
         except UrlParseError:
             return
         assert canonicalize(once) == once
+
+    @settings(max_examples=1000, deadline=None)
+    @given(url=_urls(["", "//", "//Ex.COM", "//www.a:08080", "//WWW.www.a", "//www.Www.", "//www"]))
+    def test_idempotent_with_options(self, url):
+        options = {"sort_query": True, "strip_www": True}
+        try:
+            once = canonicalize(url, **options)
+        except UrlParseError:
+            return
+        assert canonicalize(once, **options) == once
 
     def test_sort_query_flag(self):
         url = "http://example.com/a?b=2&a=1"
@@ -85,6 +100,7 @@ class TestCanonicalize:
         url = "http://www.example.com/x"
         assert canonicalize(url) == "http://www.example.com/x"
         assert canonicalize(url, strip_www=True) == "http://example.com/x"
+        assert canonicalize("http://WWW.www.example.com/x", strip_www=True) == "http://example.com/x"
 
     @pytest.mark.parametrize(
         "bad",
