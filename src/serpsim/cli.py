@@ -37,7 +37,7 @@ from .rank_metrics import (
     spearman_footrule_sim,
 )
 from .textsim import load_stopwords
-from .urlnorm import RedirectCache, canonicalize, resolve_redirects
+from .urlnorm import RedirectCache, _follow_cache, canonicalize
 
 #: The rank-only baselines ``--metric`` can select instead of ``combined``.
 BASELINE_METRICS = {
@@ -314,7 +314,8 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
             continue
         canonical = canonicalize(url, sort_query=args.sort_query, strip_www=args.strip_www)
         if cache is not None:
-            canonical = resolve_redirects(canonical, cache, "offline")
+            # a canonical form under these options is one under the defaults too
+            canonical = _follow_cache(canonical, cache)
         lines.append(f"{canonical}\n")
     return "".join(lines)
 

@@ -72,14 +72,21 @@ def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
 
 def _result(
     url: str, title: str, snippet: str, rank: int, normalize: bool,
-    redirect_cache: RedirectCache | None, path: str, lineno: int,
+    redirect_cache: RedirectCache | None, resolved: dict[str, str], path: str, lineno: int,
 ) -> SearchResult:
-    """Build one result, normalizing its URL if asked or if a redirect cache is given."""
+    """Build one result, normalizing its URL if asked or if a redirect cache is
+    given. ``resolved`` maps each raw URL the load has normalized to its result;
+    a URL that raises is not stored, so each of its lines reports the error."""
     try:
-        if redirect_cache is not None:
-            url = resolve_redirects(url, redirect_cache, "offline")
-        elif normalize:
-            url = canonicalize(url)
+        if redirect_cache is not None or normalize:
+            final = resolved.get(url)
+            if final is None:
+                if redirect_cache is not None:
+                    final = resolve_redirects(url, redirect_cache, "offline")
+                else:
+                    final = canonicalize(url)
+                resolved[url] = final
+            url = final
         return SearchResult(url=url, title=title, snippet=snippet, rank=rank)
     except SerpSimError as exc:
         raise DatasetError(str(exc), path, lineno) from exc
@@ -121,6 +128,7 @@ def load_dataset(
     where = str(path)
     groups: _Groups = {}
     categories: dict[str, str] = {}
+    resolved: dict[str, str] = {}
     for lineno, obj in _rows(path):
         engine = _require(obj, "engine", str, where, lineno)
         query = _require(obj, "query", str, where, lineno)
@@ -139,7 +147,9 @@ def load_dataset(
             if not isinstance(title, str) or not isinstance(snippet, str):
                 raise DatasetError("title and snippet must be strings", where, lineno)
             results.append(
-                _result(url, title, snippet, rank, normalize, redirect_cache, where, lineno)
+                _result(
+                    url, title, snippet, rank, normalize, redirect_cache, resolved, where, lineno
+                )
             )
         if (engine, query, date) in groups:
             raise DatasetError(
@@ -254,6 +264,11 @@ def read_matrix(path: str | Path) -> SimilarityMatrix:
     return parse_matrix(path.read_text(encoding="utf-8"), str(path))
 
 
+#: The fields an import mapping names; it may also give a "date_format".
+_REQUIRED_FIELDS = ("engine", "query", "date", "rank", "url")
+_MAPPED_FIELDS = _REQUIRED_FIELDS + ("title", "snippet", "category")
+
+
 def _mapped_value(
     obj: Mapping[str, Any], mapping: Mapping[str, Any], field: str, path: str, lineno: int
 ) -> Any:
@@ -299,10 +314,14 @@ def import_dataset(
     and redirect handling match :func:`load_dataset`, but the default
     depth is each list's own length. Errors name the file and line.
     """
-    for required in ("engine", "query", "date", "rank", "url"):
+    for key in mapping:
+        if key not in _MAPPED_FIELDS and key != "date_format":
+            known = ", ".join(_MAPPED_FIELDS + ("date_format",))
+            raise ValidationError(f"import mapping has unknown field {key!r} (known: {known})")
+    for required in _REQUIRED_FIELDS:
         if required not in mapping:
             raise ValidationError(f"import mapping lacks required field {required!r}")
-    for field in ("engine", "query", "date", "rank", "url", "title", "snippet", "category"):
+    for field in _MAPPED_FIELDS:
         spec = mapping.get(field, "")  # an absent optional field has nothing to check
         if not isinstance(spec, str) and not (isinstance(spec, dict) and set(spec) == {"const"}):
             raise ValidationError(
@@ -320,6 +339,7 @@ def import_dataset(
     where = str(path)
     groups: _Groups = {}
     categories: dict[str, str] = {}
+    resolved: dict[str, str] = {}
     for lineno, obj in _rows(path):
         engine = _mapped_text(obj, mapping, "engine", where, lineno)
         query = _mapped_text(obj, mapping, "query", where, lineno)
@@ -348,7 +368,9 @@ def import_dataset(
             snippet = _mapped_text(obj, mapping, "snippet", where, lineno)
         if "category" in mapping:
             categories[query] = _mapped_text(obj, mapping, "category", where, lineno)
-        result = _result(url, title, snippet, rank, normalize, redirect_cache, where, lineno)
+        result = _result(
+            url, title, snippet, rank, normalize, redirect_cache, resolved, where, lineno
+        )
         groups.setdefault((engine, query, date), (lineno, []))[1].append(result)
 
     if not groups:

@@ -9,8 +9,10 @@ map to one final target.
 
 from __future__ import annotations
 
+import ipaddress
 import re
 import string
+import unicodedata
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -24,6 +26,16 @@ DEFAULT_PORTS = {"http": 80, "https": 443, "ftp": 21, "ws": 80, "wss": 443}
 # RFC 3986 unreserved characters: safe to percent-decode everywhere.
 _UNRESERVED = set(string.ascii_letters + string.digits + "-._~")
 _ESCAPE = re.compile("%([0-9A-Fa-f]{2})")
+
+# RFC 3986 Appendix B, with the scheme rule urlsplit applies (an ASCII
+# letter, then letters, digits, "+", "-" or "."): scheme, authority, path
+# and query; the fragment is whatever follows and is dropped.
+_SPLIT = re.compile(r"(?:([A-Za-z][A-Za-z0-9+.-]*):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?")
+# what urlsplit strips from the front (WHATWG C0 control or space) and removes anywhere
+_C0_CONTROL_OR_SPACE = "".join(map(chr, range(0x21)))
+_IPV_FUTURE = re.compile(r"v[0-9A-Fa-f]+\..+")
+_SPACE = re.compile(r"\s")  # the same code points as str.isspace()
+_USES_NETLOC = frozenset(urllib.parse.uses_netloc)
 
 #: (status, location) returned by a fetch callable; location is None unless redirected.
 Fetch = Callable[[str], tuple[int, str | None]]
@@ -59,6 +71,39 @@ def _remove_dot_segments(path: str) -> str:
             continue
         stack.append(segment)
     return "/" + "/".join(stack)
+
+
+def _check_netloc(netloc: str, url: str) -> None:
+    """The netloc checks urlsplit makes: balanced brackets around an IPv6 or
+    IPvFuture host, and no delimiter hidden in a character NFKC expands."""
+    if ("[" in netloc) != ("]" in netloc):
+        raise UrlParseError(url, "unbalanced brackets in host")
+    if "[" in netloc:
+        host = netloc.partition("[")[2].partition("]")[0]
+        if host.startswith("v"):
+            if not _IPV_FUTURE.fullmatch(host):
+                raise UrlParseError(url, f"invalid IPvFuture host {host!r}")
+        else:
+            try:
+                ipaddress.IPv6Address(host)
+            except ValueError as exc:
+                raise UrlParseError(url, f"bracketed host is not IPv6: {exc}") from exc
+    if not netloc.isascii():
+        bare = netloc.replace("@", "").replace(":", "").replace("#", "").replace("?", "")
+        expanded = unicodedata.normalize("NFKC", bare)
+        if expanded != bare and any(c in expanded for c in "/?#@:"):
+            raise UrlParseError(url, f"netloc {netloc!r} holds a delimiter under NFKC")
+
+
+def _split(url: str) -> tuple[str, str, str, str]:
+    """Split a URL into (scheme, netloc, path, query) as urlsplit does, with
+    its checks: leading C0 controls and spaces go, so do tabs and newlines."""
+    text = url.strip().lstrip(_C0_CONTROL_OR_SPACE)
+    text = text.replace("\t", "").replace("\r", "").replace("\n", "")
+    scheme, netloc, path, query = _SPLIT.match(text).groups()
+    if netloc:
+        _check_netloc(netloc, url)
+    return scheme or "", netloc or "", path, query or ""
 
 
 def _split_netloc(netloc: str, url: str) -> tuple[str, str, str]:
@@ -110,20 +155,15 @@ def canonicalize(url: str, *, sort_query: bool = False, strip_www: bool = False)
 def _canonicalize_once(url: str, sort_query: bool, strip_www: bool) -> str:
     if not isinstance(url, str) or not url.strip():
         raise UrlParseError(str(url), "empty input")
-    try:
-        parts = urllib.parse.urlsplit(url.strip())
-    except ValueError as exc:
-        raise UrlParseError(url, str(exc)) from exc
-
-    scheme = parts.scheme.lower()
+    scheme, netloc, path, query = _split(url)
+    scheme = scheme.lower()
     if not scheme:
         raise UrlParseError(url, "missing scheme (not an absolute URL)")
 
-    netloc = parts.netloc
     if netloc:
         userinfo, host, port = _split_netloc(netloc, url)
         host = host.lower()
-        if any(ch.isspace() for ch in host):
+        if _SPACE.search(host):
             raise UrlParseError(url, f"whitespace in host {host!r}")
         while strip_www and host.startswith("www."):
             host = host[4:]
@@ -142,8 +182,8 @@ def _canonicalize_once(url: str, sort_query: bool, strip_www: bool) -> str:
         raise UrlParseError(url, "http(s) URL without a host")
 
     # "//" (and a rooted path) for a scheme that takes a host, even an empty one
-    takes_authority = bool(netloc) or scheme in urllib.parse.uses_netloc
-    path = _normalize_percent(parts.path)
+    takes_authority = bool(netloc) or scheme in _USES_NETLOC
+    path = _normalize_percent(path)
     if takes_authority and path and not path.startswith("/"):
         path = "/" + path
     path = _remove_dot_segments(path)
@@ -152,7 +192,7 @@ def _canonicalize_once(url: str, sort_query: bool, strip_www: bool) -> str:
     if len(path) > 1 and path.endswith("/"):
         path = path.rstrip("/") or "/"
 
-    query = _normalize_percent(parts.query)
+    query = _normalize_percent(query)
     if sort_query and query:
         query = "&".join(sorted(query.split("&")))
 
@@ -239,6 +279,21 @@ def default_fetch(url: str, timeout: float = 10.0) -> tuple[int, str | None]:
         raise RedirectError(f"network failure fetching {url}: {exc}") from exc
 
 
+def _follow_cache(url: str, cache: RedirectCache, max_hops: int = 10) -> str:
+    """Walk the cache's recorded chain from an already canonical URL."""
+    chain = [url]
+    current = url
+    for _ in range(max_hops):
+        target = cache.get(current)
+        if target is None or target == current:
+            return current
+        if target in chain:
+            raise RedirectError("redirect loop in cache", tuple(chain + [target]))
+        chain.append(target)
+        current = target
+    raise RedirectError(f"hop limit {max_hops} exceeded", tuple(chain))
+
+
 def resolve_redirects(
     url: str,
     cache: RedirectCache,
@@ -257,17 +312,7 @@ def resolve_redirects(
     """
     url = canonicalize(url)
     if mode == "offline":
-        chain = [url]
-        current = url
-        for _ in range(max_hops):
-            target = cache.get(current)
-            if target is None or target == current:
-                return current
-            if target in chain:
-                raise RedirectError("redirect loop in cache", tuple(chain + [target]))
-            chain.append(target)
-            current = target
-        raise RedirectError(f"hop limit {max_hops} exceeded", tuple(chain))
+        return _follow_cache(url, cache, max_hops)
 
     if mode != "online":
         raise ValueError(f"mode must be 'online' or 'offline', got {mode!r}")

@@ -21,7 +21,7 @@ from serpsim import (
     spearman_footrule_sim,
     write_dataset,
 )
-from serpsim import cli
+from serpsim import cli, urlnorm
 from serpsim.cli import run_cli
 from tests.conftest import make_list
 
@@ -440,6 +440,37 @@ class TestNormalizeUrls:
             "https://final.example.com/landing",
             "https://news.example.org/y?z=A",
         ]
+
+    def test_redirects_canonicalize_each_url_once(self, data_dir, capsys, monkeypatch):
+        seen = []
+        canonicalize = urlnorm.canonicalize
+
+        def counting(url, **kwargs):
+            seen.append(url)
+            return canonicalize(url, **kwargs)
+
+        monkeypatch.setattr(urlnorm, "canonicalize", counting)
+        monkeypatch.setattr(cli, "canonicalize", counting)
+        urls = data_dir / "urls.txt"
+        redirects = data_dir / "redirects.tsv"
+        assert run_cli(["normalize-urls", str(urls), "--redirects", str(redirects)]) == 0
+        cache_fields = [f for line in redirects.read_text().splitlines()[1:]
+                        for f in line.split("\t")]
+        listed = urls.read_text().splitlines()[1:]
+        # the cache's sources and targets once each as it loads, then each URL once
+        assert sorted(seen) == sorted(cache_fields + listed)
+        assert capsys.readouterr().out.splitlines()[2] == "https://final.example.com/landing"
+
+    def test_redirects_with_sort_query_and_strip_www(self, tmp_path, capsys):
+        urls = tmp_path / "urls.txt"
+        urls.write_text("HTTP://WWW.www.A.com:80/p/?b=2&a=%41#f\nhttp://www.b.com/x\n")
+        redirects = tmp_path / "redirects.tsv"
+        redirects.write_text("http://a.com/p?a=A&b=2\thttp://moved.com/\n"
+                             "http://www.b.com/x\thttp://unused.com/\n")
+        argv = ["normalize-urls", str(urls), "--redirects", str(redirects),
+                "--sort-query", "--strip-www"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == "http://moved.com/\nhttp://b.com/x\n"
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO("HTTP://X.Example.com/a/../b\n"))

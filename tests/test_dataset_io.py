@@ -36,6 +36,19 @@ def write_jsonl(tmp_path, *lines):
     return path
 
 
+def count_calls(monkeypatch, name):
+    """The URLs ``dataset_io`` passes to its ``name`` function, as a growing list."""
+    seen = []
+    original = getattr(dataset_io, name)
+
+    def counting(url, *args, **kwargs):
+        seen.append(url)
+        return original(url, *args, **kwargs)
+
+    monkeypatch.setattr(dataset_io, name, counting)
+    return seen
+
+
 class TestLoadDataset:
     def test_loads_records_and_axes(self, tmp_path):
         path = write_jsonl(
@@ -185,6 +198,41 @@ class TestLoadDataset:
         monkeypatch.setattr(dataset_io, "canonicalize", counting)
         load_dataset(path, normalize=True, redirect_cache=cache)
         assert len(seen) == 3
+
+    def test_each_distinct_raw_url_canonicalized_once_per_load(self, tmp_path, monkeypatch):
+        path = write_jsonl(
+            tmp_path,
+            record_line(urls=("a", "b")),
+            record_line(engine="e2", urls=("b", "a")),
+            record_line(engine="e3", urls=("c", "a")),
+        )
+        seen = count_calls(monkeypatch, "canonicalize")
+        ds = load_dataset(path, normalize=True)
+        raw = {u: f"https://{u}.example.com/page" for u in "abc"}
+        assert sorted(seen) == [raw["a"], raw["b"], raw["c"]]
+        assert ds.get("e2", "sample query", D1).urls() == (raw["b"], raw["a"])
+        load_dataset(path, normalize=True)  # a new load starts with nothing remembered
+        assert len(seen) == 6
+
+    def test_each_distinct_raw_url_resolved_once_per_load(self, tmp_path, monkeypatch):
+        cache = RedirectCache({"https://a.example.com/page": "https://example.com/final"})
+        path = write_jsonl(
+            tmp_path, record_line(urls=("a", "b")), record_line(engine="e2", urls=("b", "a"))
+        )
+        seen = count_calls(monkeypatch, "resolve_redirects")
+        ds = load_dataset(path, redirect_cache=cache)
+        assert len(seen) == 2
+        assert ds.get("e2", "sample query", D1).urls() == (
+            "https://b.example.com/page", "https://example.com/final"
+        )
+
+    def test_rejected_url_names_its_first_line(self, tmp_path):
+        bad = json.loads(record_line(engine="e2"))
+        bad["results"][1]["url"] = "not a url"
+        later = dict(bad, engine="e3")
+        path = write_jsonl(tmp_path, record_line(), json.dumps(bad), json.dumps(later))
+        with pytest.raises(DatasetError, match=r"data\.jsonl:2: .*not a url"):
+            load_dataset(path, normalize=True)
 
     def test_category_collected(self, tmp_path):
         path = write_jsonl(tmp_path, record_line(category="testing"))
@@ -364,6 +412,28 @@ class TestImport:
                    "title": spec}
         with pytest.raises(ValidationError, match="import mapping field 'title'"):
             import_dataset(path, mapping)
+
+    def test_unknown_mapping_key_rejected(self, tmp_path):
+        # a misspelled optional field once imported every title as ''
+        row = {"q": "a", "d": "2019-07-01", "p": 1, "u": "https://x.example.com", "t": "Title"}
+        path = write_jsonl(tmp_path, json.dumps(row))
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u",
+                   "titel": "t"}
+        with pytest.raises(ValidationError, match="unknown field 'titel'"):
+            import_dataset(path, mapping)
+        # before any row is read: the input need not even exist
+        with pytest.raises(ValidationError, match="unknown field 'titel'"):
+            import_dataset(tmp_path / "absent.jsonl", mapping)
+
+    def test_each_distinct_raw_url_canonicalized_once(self, tmp_path, monkeypatch):
+        rows = [{"q": q, "d": "2019-07-01", "p": p, "u": f"HTTP://{u}.example.com/"}
+                for q in ("a", "b") for p, u in ((1, "x"), (2, "y"))]
+        path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
+        seen = count_calls(monkeypatch, "canonicalize")
+        ds = import_dataset(path, mapping, normalize=True)
+        assert seen == ["HTTP://x.example.com/", "HTTP://y.example.com/"]
+        assert ds.get("e", "b", D1).urls() == ("http://x.example.com/", "http://y.example.com/")
 
     def test_non_string_date_format_rejected(self, tmp_path):
         mapping = {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "u"}

@@ -1,5 +1,9 @@
+import ipaddress
+import re
+import urllib.parse
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, note, settings
 from hypothesis import strategies as st
 
 from serpsim import (
@@ -9,6 +13,12 @@ from serpsim import (
     UrlParseError,
     canonicalize,
     resolve_redirects,
+)
+from serpsim.urlnorm import (
+    DEFAULT_PORTS,
+    _normalize_percent,
+    _remove_dot_segments,
+    _split_netloc,
 )
 
 
@@ -20,6 +30,168 @@ def _urls(authorities: list[str]) -> st.SearchStrategy[str]:
         st.sampled_from(authorities),
         st.text(alphabet="aZ09-._~%/?#:@!$&'()*+,;=[] \t\xa0\x1cé", max_size=24),
     )
+
+
+# -- reference: canonicalize as it was when it split with urllib.parse.urlsplit --
+
+
+def _reference_canonicalize(url, *, sort_query=False, strip_www=False):
+    canonical = _reference_canonicalize_once(url, sort_query, strip_www)
+    while canonical != canonical.rstrip():
+        canonical = _reference_canonicalize_once(canonical, sort_query, strip_www)
+    return canonical
+
+
+def _reference_canonicalize_once(url, sort_query, strip_www):
+    if not isinstance(url, str) or not url.strip():
+        raise UrlParseError(str(url), "empty input")
+    try:
+        parts = urllib.parse.urlsplit(url.strip())
+    except ValueError as exc:
+        raise UrlParseError(url, str(exc)) from exc
+
+    scheme = parts.scheme.lower()
+    if not scheme:
+        raise UrlParseError(url, "missing scheme (not an absolute URL)")
+
+    netloc = parts.netloc
+    if netloc:
+        userinfo, host, port = _split_netloc(netloc, url)
+        host = host.lower()
+        if any(ch.isspace() for ch in host):
+            raise UrlParseError(url, f"whitespace in host {host!r}")
+        while strip_www and host.startswith("www."):
+            host = host[4:]
+        if not host:
+            raise UrlParseError(url, "empty host")
+        new_netloc = host
+        if port:
+            port = port.lstrip("0") or "0"
+            if port != str(DEFAULT_PORTS.get(scheme)):
+                new_netloc += f":{port}"
+        if userinfo:
+            new_netloc = _normalize_percent(userinfo) + "@" + new_netloc
+        netloc = new_netloc
+    elif scheme in ("http", "https"):
+        raise UrlParseError(url, "http(s) URL without a host")
+
+    takes_authority = bool(netloc) or scheme in urllib.parse.uses_netloc
+    path = _normalize_percent(parts.path)
+    if takes_authority and path and not path.startswith("/"):
+        path = "/" + path
+    path = _remove_dot_segments(path)
+    if netloc and not path:
+        path = "/"
+    if len(path) > 1 and path.endswith("/"):
+        path = path.rstrip("/") or "/"
+
+    query = _normalize_percent(parts.query)
+    if sort_query and query:
+        query = "&".join(sorted(query.split("&")))
+
+    authority = f"//{netloc}" if takes_authority or path.startswith("//") else ""
+    return f"{scheme}:{authority}{path}" + (f"?{query}" if query else "")
+
+
+def _urlsplit_rejects(url):
+    try:
+        urllib.parse.urlsplit(url)
+    except ValueError:
+        return True
+    return False
+
+
+# The urlsplit of Python 3.11.7-3.13.0 checks a bracketed host and wants a
+# scheme to start with a letter; that of 3.10.13 does neither.
+URLSPLIT_CHECKS_BRACKETED_HOST = _urlsplit_rejects("http://[zz]/")
+URLSPLIT_WANTS_LETTER_FIRST = urllib.parse.urlsplit("1a:b").scheme == ""
+
+
+def _bracketed_non_ip_host(url):
+    """The bracketed host of ``url``, if it is neither IPv6 nor IPvFuture."""
+    netloc = urllib.parse.urlsplit(url.strip()).netloc
+    if "[" not in netloc:
+        return None
+    host = netloc.partition("[")[2].partition("]")[0]
+    if host.startswith("v"):
+        return None if re.fullmatch(r"v[0-9A-Fa-f]+\..+", host) else host
+    try:
+        ipaddress.IPv6Address(host)
+    except ValueError:
+        return host
+    return None
+
+
+def _allowed_difference(url, expected, actual):
+    """Name the known reason ``canonicalize`` may reject a URL the reference
+    accepts on this interpreter, citing the part of ``url`` it concerns; else None."""
+    if expected[0] != "ok" or actual[0] != "error":
+        return None
+    if not URLSPLIT_CHECKS_BRACKETED_HOST:
+        host = _bracketed_non_ip_host(url)
+        if host is not None:
+            return f"bracketed non-IP host {host!r}, which this urlsplit does not check"
+    if not URLSPLIT_WANTS_LETTER_FIRST:
+        scheme = urllib.parse.urlsplit(url.strip()).scheme
+        if scheme and not scheme[0].isalpha():
+            return f"scheme {scheme!r} starts with a non-letter, which this urlsplit allows"
+    return None
+
+
+def _outcome(function, url, **options):
+    try:
+        return ("ok", function(url, **options))
+    except UrlParseError:
+        return ("error",)
+
+
+@st.composite
+def _differential_urls(draw):
+    """Messy URLs built from parts: C0 controls and spaces in front, then a
+    scheme with or without "//", userinfo, host (bracketed or not) and port,
+    dot segments and escapes, a query and a fragment, with tabs, newlines,
+    other controls and delimiters inserted anywhere."""
+    url = draw(st.sampled_from(
+        ["http:", "HTTPS:", "ftp:", "file:", "x:", "a+b.c-d:", "1a:", "+x:", ""]
+    ))
+    if draw(st.integers(0, 3)):
+        url += "//" + draw(st.sampled_from(["", "", "u@", "U:p%41@", "a@b@", "[x@", "]@", "%7e@"]))
+        url += draw(st.sampled_from([
+            "Ex.COM", "www.A", "", "[::1]", "[2001:DB8::1]", "[zz]", "[v1.x]", "[v1]",
+            "[1.2.3.4]", "[fe80::1%25eth0]", "[::1", "a]", "x[::1]", "a\u2100b", "\u00e9.com",
+            "a b", "a\xa0b", "a\u3000b", "a\x1cb",
+        ]))
+        url += draw(st.sampled_from(["", "", ":", ":80", ":0443", ":8080", ":x", ":\u00b2"]))
+    segments = draw(st.lists(st.sampled_from([
+        ".", "..", "a", "B", "%41", "%%41", "%%6141", "%2e", "%2E%2e", "%7e", "%zz", "%",
+        "%4", "", " ", "a b", "\u00e9",
+    ]), max_size=5))
+    url += draw(st.sampled_from(["/", ""])) + "/".join(segments)
+    url += draw(st.sampled_from(["", "?", "?b=2&a=%41", "?q=%%6141&", "?a b", "?x#y"]))
+    url += draw(st.sampled_from(["", "#", "#f", "#a?b/c", "# "]))
+    inserted = draw(st.lists(st.sampled_from("\t\r\n"), max_size=2))
+    inserted += draw(st.lists(st.sampled_from("\x00\x01\x1f \x0b\xa0:/?#[]@%"), max_size=2))
+    for char in inserted:
+        at = draw(st.integers(0, len(url)))
+        url = url[:at] + char + url[at:]
+    return draw(st.text(alphabet="\x00\x01\x08\x1f \t", max_size=3)) + url
+
+
+class TestSplitMatchesUrlsplit:
+    """``canonicalize`` splits URLs itself; it must agree with the reference."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(url=_differential_urls(), sort_query=st.booleans(), strip_www=st.booleans())
+    @example(url="http://[zz]/a", sort_query=False, strip_www=False)
+    @example(url="1a://b/c", sort_query=False, strip_www=False)
+    def test_matches_urlsplit_reference(self, url, sort_query, strip_www):
+        options = {"sort_query": sort_query, "strip_www": strip_www}
+        expected = _outcome(_reference_canonicalize, url, **options)
+        actual = _outcome(canonicalize, url, **options)
+        if actual != expected:
+            allowance = _allowed_difference(url, expected, actual)
+            assert allowance is not None, f"{url!r}: reference {expected}, got {actual}"
+            note(f"allowed: {allowance}")
 
 
 class TestCanonicalize:
@@ -44,6 +216,7 @@ class TestCanonicalize:
             ("http://example.com/%%41", "http://example.com/%A"),
             ("http://example.com/%4", "http://example.com/%4"),
             ("http://example.com/%zz", "http://example.com/%zz"),
+            ("\x01http://a/b", "http://a/b"),
         ],
     )
     def test_rewrites(self, raw, expected):
@@ -105,7 +278,7 @@ class TestCanonicalize:
     @pytest.mark.parametrize(
         "bad",
         ["", "   ", "example.com/no-scheme", "http:///nohost", "http://exa mple.com/x",
-         "http://example.com:notaport/x"],
+         "http://example.com:notaport/x", "http://[zz]/a", "http://[::1/a", "http://a\u2100b/x"],
     )
     def test_rejects_unusable(self, bad):
         with pytest.raises(UrlParseError):
