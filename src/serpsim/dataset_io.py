@@ -269,12 +269,9 @@ _REQUIRED_FIELDS = ("engine", "query", "date", "rank", "url")
 _MAPPED_FIELDS = _REQUIRED_FIELDS + ("title", "snippet", "category")
 
 
-def _mapped_value(
-    obj: Mapping[str, Any], mapping: Mapping[str, Any], field: str, path: str, lineno: int
-) -> Any:
-    """Resolve one field of an import mapping, whose spec ``import_dataset``
+def _mapped_value(obj: Mapping[str, Any], spec: Any, field: str, path: str, lineno: int) -> Any:
+    """Resolve one field of a row from its mapping spec, which ``import_dataset``
     has checked: a source key, or {"const": value}."""
-    spec = mapping[field]
     if isinstance(spec, dict):
         return spec["const"]
     if spec not in obj:
@@ -282,11 +279,11 @@ def _mapped_value(
     return obj[spec]
 
 
-def _mapped_text(
-    obj: Mapping[str, Any], mapping: Mapping[str, Any], field: str, path: str, lineno: int
-) -> str:
+def _mapped_text(obj: Mapping[str, Any], spec: Any, field: str, path: str, lineno: int) -> str:
     """Resolve a mapped text field; a number is written as text, null is refused."""
-    value = _mapped_value(obj, mapping, field, path, lineno)
+    value = _mapped_value(obj, spec, field, path, lineno)
+    if type(value) is str:
+        return value
     if value is None or isinstance(value, (dict, list)):
         problem = f"must be a string or a number, got {type(value).__name__}"
         raise DatasetError(f"field {field!r} {problem}", path, lineno)
@@ -307,7 +304,8 @@ def import_dataset(
     ``mapping`` names, for each of our fields, the source field to read
     (or a {"const": value} literal): required "engine", "query", "date",
     "rank", "url"; optional "title", "snippet", "category", and a
-    "date_format" strptime pattern for non-ISO dates. Lists are grouped
+    "date_format" strptime pattern for non-ISO dates (each distinct date
+    text is parsed once per call). Lists are grouped
     by (engine, query, date) and ranked by the mapped rank values; a
     rank must be a whole number, a URL a string, and the engine, query,
     title, snippet and category strings or numbers. URL normalization
@@ -335,39 +333,47 @@ def import_dataset(
             f"got {type(date_format).__name__}"
         )
 
+    engine_spec, query_spec, date_spec, rank_spec, url_spec = map(mapping.get, _REQUIRED_FIELDS)
+    title_spec, snippet_spec, category_spec = map(mapping.get, ("title", "snippet", "category"))
+
     path = Path(path)
     where = str(path)
     groups: _Groups = {}
     categories: dict[str, str] = {}
     resolved: dict[str, str] = {}
+    dates: dict[str, dt.date] = {}  # each date text parsed so far; a bad one is not stored
     for lineno, obj in _rows(path):
-        engine = _mapped_text(obj, mapping, "engine", where, lineno)
-        query = _mapped_text(obj, mapping, "query", where, lineno)
-        raw_date = _mapped_value(obj, mapping, "date", where, lineno)
-        if date_format:
-            try:
-                date = dt.datetime.strptime(str(raw_date), date_format).date()
-            except ValueError as exc:
-                raise DatasetError(f"bad date {raw_date!r}: {exc}", where, lineno) from exc
-        else:
-            date = _parse_date(str(raw_date), where, lineno)
-        raw_rank = _mapped_value(obj, mapping, "rank", where, lineno)
+        engine = _mapped_text(obj, engine_spec, "engine", where, lineno)
+        query = _mapped_text(obj, query_spec, "query", where, lineno)
+        raw_date = _mapped_value(obj, date_spec, "date", where, lineno)
+        date_text = str(raw_date)
+        date = dates.get(date_text)
+        if date is None:
+            if date_format:
+                try:
+                    date = dt.datetime.strptime(date_text, date_format).date()
+                except ValueError as exc:
+                    raise DatasetError(f"bad date {raw_date!r}: {exc}", where, lineno) from exc
+            else:
+                date = _parse_date(date_text, where, lineno)
+            dates[date_text] = date
+        raw_rank = _mapped_value(obj, rank_spec, "rank", where, lineno)
         if isinstance(raw_rank, bool) or isinstance(raw_rank, float) and not raw_rank.is_integer():
             raise DatasetError(f"bad rank {raw_rank!r}", where, lineno)
         try:
             rank = int(raw_rank)
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"bad rank {raw_rank!r}", where, lineno) from exc
-        url = _mapped_value(obj, mapping, "url", where, lineno)
+        url = _mapped_value(obj, url_spec, "url", where, lineno)
         if not isinstance(url, str):
             raise DatasetError(f"field 'url' must be str, got {type(url).__name__}", where, lineno)
         title = snippet = ""
-        if "title" in mapping:
-            title = _mapped_text(obj, mapping, "title", where, lineno)
-        if "snippet" in mapping:
-            snippet = _mapped_text(obj, mapping, "snippet", where, lineno)
-        if "category" in mapping:
-            categories[query] = _mapped_text(obj, mapping, "category", where, lineno)
+        if title_spec is not None:
+            title = _mapped_text(obj, title_spec, "title", where, lineno)
+        if snippet_spec is not None:
+            snippet = _mapped_text(obj, snippet_spec, "snippet", where, lineno)
+        if category_spec is not None:
+            categories[query] = _mapped_text(obj, category_spec, "category", where, lineno)
         result = _result(
             url, title, snippet, rank, normalize, redirect_cache, resolved, where, lineno
         )

@@ -59,7 +59,8 @@ def _normalize_percent(component: str) -> str:
 
 def _remove_dot_segments(path: str) -> str:
     """Resolve '.' and '..' segments in an absolute path."""
-    if not path.startswith("/"):
+    # A dot segment of a rooted path follows a '/', so without "/." there is none.
+    if not path.startswith("/") or "/." not in path:
         return path
     stack: list[str] = []
     for segment in path.split("/")[1:]:

@@ -1,11 +1,15 @@
 import datetime as dt
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from serpsim import (
     DatasetError,
     RedirectCache,
+    SearchResult,
     SimilarityMatrix,
     ValidationError,
     dumps_dataset,
@@ -46,6 +50,19 @@ def count_calls(monkeypatch, name):
         return original(url, *args, **kwargs)
 
     monkeypatch.setattr(dataset_io, name, counting)
+    return seen
+
+
+def count_strptime(monkeypatch):
+    """The date texts ``dataset_io`` passes to ``datetime.strptime``, as a growing list."""
+    seen = []
+
+    def counting(text, date_format):
+        seen.append(text)
+        return dt.datetime.strptime(text, date_format)
+
+    stand_in = SimpleNamespace(date=dt.date, datetime=SimpleNamespace(strptime=counting))
+    monkeypatch.setattr(dataset_io, "dt", stand_in)
     return seen
 
 
@@ -320,6 +337,87 @@ class TestMatrixIO:
             parse_matrix(text)
 
 
+# -- reference: import one row at a time, parsing every date and text as it comes --
+
+_DAYS = (dt.date(2016, 3, 1), dt.date(2019, 7, 1), dt.date(2019, 12, 31))
+
+#: A date form: the mapping's "date_format", and the values a row may give for a day.
+_DATE_FORMS = (
+    (None, lambda day: [day.isoformat()]),
+    ("%d/%m/%Y", lambda day: [day.strftime("%d/%m/%Y")]),
+    ("%Y%m%d", lambda day: [day.strftime("%Y%m%d"), int(day.strftime("%Y%m%d"))]),
+)
+_TEXT_SOURCES = {"engine": "se", "query": "kw", "title": "t", "snippet": "s", "category": "c"}
+_OPTIONAL = ("title", "snippet", "category")
+
+
+def _texts(field):
+    words = ["e1", "a b", "\u00e9"] + ([""] if field in _OPTIONAL else [])
+    return st.one_of(st.sampled_from(words), st.integers(-3, 20), st.sampled_from([1.5, 2.0]))
+
+
+@st.composite
+def _flat_imports(draw):
+    """Flat rows and their mapping: each text field read from a source key or
+    given as a const (an optional one may be absent), as a string or a number,
+    and a few dates repeated across rows in one of three forms."""
+    date_format, day_values = draw(st.sampled_from(_DATE_FORMS))
+    mapping = {"date": "day", "rank": "pos", "url": "link"}
+    if date_format is not None:
+        mapping["date_format"] = date_format
+    for field, key in _TEXT_SOURCES.items():
+        how = draw(st.sampled_from(["key", "const", "absent"][: 3 if field in _OPTIONAL else 2]))
+        if how == "key":
+            mapping[field] = key
+        elif how == "const":
+            mapping[field] = {"const": draw(_texts(field))}
+    rows = []
+    for i in range(draw(st.integers(1, 12))):
+        row = {"day": draw(st.sampled_from(day_values(draw(st.sampled_from(_DAYS))))),
+               "pos": i + 1, "link": f"https://h{i}.example.com/"}
+        rows.append(row | {key: draw(_texts(field)) for field, key in _TEXT_SOURCES.items()})
+    return rows, mapping
+
+
+def _reference_import(rows, mapping):
+    """Each list's results in rank order, and the categories, built row by row."""
+    def text(row, field, default=None):
+        spec = mapping.get(field)
+        if spec is None:
+            return default
+        return str(spec["const"] if isinstance(spec, dict) else row[spec])
+
+    lists, categories = {}, {}
+    for row in rows:
+        if "date_format" in mapping:
+            day = dt.datetime.strptime(str(row["day"]), mapping["date_format"]).date()
+        else:
+            day = dt.date.fromisoformat(row["day"])
+        results = lists.setdefault((text(row, "engine"), text(row, "query"), day), [])
+        results.append(SearchResult(
+            url=row["link"], title=text(row, "title", ""), snippet=text(row, "snippet", ""),
+            rank=len(results) + 1,
+        ))
+        if "category" in mapping:
+            categories[text(row, "query")] = text(row, "category")
+    return lists, categories
+
+
+class TestImportMatchesPerRowReference:
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flat=_flat_imports())
+    def test_matches_reference(self, tmp_path, flat):
+        rows, mapping = flat
+        path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        ds = import_dataset(path, mapping)
+        lists, categories = _reference_import(rows, mapping)
+        assert sorted(ds) == sorted(lists)
+        for key, results in lists.items():
+            assert ds.get(*key).results == tuple(results)
+        assert ds.categories == categories
+
+
 class TestImport:
     def test_alien_fixture(self, data_dir):
         mapping = json.loads((data_dir / "alien_mapping.json").read_text(encoding="utf-8"))
@@ -434,6 +532,43 @@ class TestImport:
         ds = import_dataset(path, mapping, normalize=True)
         assert seen == ["HTTP://x.example.com/", "HTTP://y.example.com/"]
         assert ds.get("e", "b", D1).urls() == ("http://x.example.com/", "http://y.example.com/")
+
+    def test_bad_date_names_each_line_that_carries_it(self, tmp_path):
+        days = ["01/07/2019", "31/02/2019", "02/07/2019", "01/07/2019", "31/02/2019"]
+        rows = [{"q": "a", "d": day, "p": p, "u": "https://x.example.com"}
+                for p, day in enumerate(days, start=1)]
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u",
+                   "date_format": "%d/%m/%Y"}
+        path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        with pytest.raises(DatasetError, match=r"data\.jsonl:2: bad date '31/02/2019'"):
+            import_dataset(path, mapping)
+        rows[1]["d"] = "03/07/2019"
+        path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        with pytest.raises(DatasetError, match=r"data\.jsonl:5: bad date '31/02/2019'"):
+            import_dataset(path, mapping)
+
+    def test_date_format_read_afresh_by_each_import(self, tmp_path):
+        row = {"q": "a", "d": "01/07/2019", "p": 1, "u": "https://x.example.com"}
+        path = write_jsonl(tmp_path, json.dumps(row))
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
+        dmy = import_dataset(path, mapping | {"date_format": "%d/%m/%Y"})
+        mdy = import_dataset(path, mapping | {"date_format": "%m/%d/%Y"})
+        assert dmy.dates() == (dt.date(2019, 7, 1),)
+        assert mdy.dates() == (dt.date(2019, 1, 7),)
+
+    def test_each_distinct_date_text_parsed_once(self, tmp_path, monkeypatch):
+        days = [20190701, "20190701", 20190702, "20190702", 20190701]
+        rows = [{"q": "a", "d": day, "p": p, "u": f"https://{p}.example.com"}
+                for p, day in enumerate(days, start=1)]
+        path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u",
+                   "date_format": "%Y%m%d"}
+        seen = count_strptime(monkeypatch)
+        ds = import_dataset(path, mapping)
+        assert seen == ["20190701", "20190702"]
+        assert ds.get("e", "a", D1).n == 3
+        import_dataset(path, mapping)  # a new import starts with nothing remembered
+        assert len(seen) == 4
 
     def test_non_string_date_format_rejected(self, tmp_path):
         mapping = {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "u"}

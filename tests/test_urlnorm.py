@@ -79,7 +79,7 @@ def _reference_canonicalize_once(url, sort_query, strip_www):
     path = _normalize_percent(parts.path)
     if takes_authority and path and not path.startswith("/"):
         path = "/" + path
-    path = _remove_dot_segments(path)
+    path = _reference_remove_dot_segments(path)
     if netloc and not path:
         path = "/"
     if len(path) > 1 and path.endswith("/"):
@@ -91,6 +91,22 @@ def _reference_canonicalize_once(url, sort_query, strip_www):
 
     authority = f"//{netloc}" if takes_authority or path.startswith("//") else ""
     return f"{scheme}:{authority}{path}" + (f"?{query}" if query else "")
+
+
+def _reference_remove_dot_segments(path):
+    """Dot-segment removal that splits and rejoins every rooted path, with no shortcut."""
+    if not path.startswith("/"):
+        return path
+    stack = []
+    for segment in path.split("/")[1:]:
+        if segment == ".":
+            continue
+        if segment == "..":
+            if stack:
+                stack.pop()
+            continue
+        stack.append(segment)
+    return "/" + "/".join(stack)
 
 
 def _urlsplit_rejects(url):
@@ -192,6 +208,28 @@ class TestSplitMatchesUrlsplit:
             allowance = _allowed_difference(url, expected, actual)
             assert allowance is not None, f"{url!r}: reference {expected}, got {actual}"
             note(f"allowed: {allowance}")
+
+
+class TestRemoveDotSegments:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        path=st.one_of(
+            st.builds(
+                "{}{}{}".format,
+                st.sampled_from(["/", "", "//"]),
+                st.lists(
+                    st.sampled_from([".", "..", "", "a", ".x", "..x", "x.", ".x/", "%2e"]),
+                    max_size=6,
+                ).map("/".join),
+                st.sampled_from(["", "/", "/.", "/..", "."]),
+            ),
+            st.text(alphabet="/.a", max_size=12),
+        )
+    )
+    @example(path="/a/b/.")
+    @example(path="a/./b")
+    def test_matches_split_join_reference(self, path):
+        assert _remove_dot_segments(path) == _reference_remove_dot_segments(path)
 
 
 class TestCanonicalize:
