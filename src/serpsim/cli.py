@@ -81,7 +81,7 @@ def _parse_boost(text: str) -> tuple[float, ...]:
 
 def _parse_date(text: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
+        return dataset_io._iso_date(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import datetime as dt
 import io
 import json
+import re
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -47,9 +48,21 @@ def _require(obj: Mapping[str, Any], key: str, kind: type, path: str, lineno: in
     return value
 
 
+#: ``YYYY-MM-DD`` only: Python 3.11+ ``date.fromisoformat`` also accepts
+#: ``20190701`` and ``2019-W27-1``, which 3.10 rejects.
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _iso_date(text: str) -> dt.date:
+    """Parse a ``YYYY-MM-DD`` date the same way on every Python; ValueError otherwise."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_date(raw: str, path: str, lineno: int) -> dt.date:
     try:
-        return dt.date.fromisoformat(raw)
+        return _iso_date(raw)
     except ValueError as exc:
         raise DatasetError(f"bad date {raw!r}: {exc}", path, lineno) from exc
 
@@ -72,11 +85,14 @@ def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
 
 def _result(
     url: str, title: str, snippet: str, rank: int, normalize: bool,
-    redirect_cache: RedirectCache | None, resolved: dict[str, str], path: str, lineno: int,
+    redirect_cache: RedirectCache | None, resolved: dict[str, str], strings: dict[str, str],
+    path: str, lineno: int,
 ) -> SearchResult:
     """Build one result, normalizing its URL if asked or if a redirect cache is
     given. ``resolved`` maps each raw URL the load has normalized to its result;
-    a URL that raises is not stored, so each of its lines reports the error."""
+    a URL that raises is not stored, so each of its lines reports the error.
+    ``strings`` maps each URL, title and snippet text the load has kept to its
+    one stored copy, so equal texts of different results are one object."""
     try:
         if redirect_cache is not None or normalize:
             final = resolved.get(url)
@@ -85,9 +101,16 @@ def _result(
                     final = resolve_redirects(url, redirect_cache, "offline")
                 else:
                     final = canonicalize(url)
-                resolved[url] = final
+                final = resolved[url] = strings.setdefault(final, final)
             url = final
-        return SearchResult(url=url, title=title, snippet=snippet, rank=rank)
+        else:
+            url = strings.setdefault(url, url)
+        return SearchResult(
+            url=url,
+            title=strings.setdefault(title, title),
+            snippet=strings.setdefault(snippet, snippet),
+            rank=rank,
+        )
     except SerpSimError as exc:
         raise DatasetError(str(exc), path, lineno) from exc
 
@@ -129,6 +152,7 @@ def load_dataset(
     groups: _Groups = {}
     categories: dict[str, str] = {}
     resolved: dict[str, str] = {}
+    strings: dict[str, str] = {}
     for lineno, obj in _rows(path):
         engine = _require(obj, "engine", str, where, lineno)
         query = _require(obj, "query", str, where, lineno)
@@ -148,7 +172,8 @@ def load_dataset(
                 raise DatasetError("title and snippet must be strings", where, lineno)
             results.append(
                 _result(
-                    url, title, snippet, rank, normalize, redirect_cache, resolved, where, lineno
+                    url, title, snippet, rank, normalize, redirect_cache, resolved, strings,
+                    where, lineno,
                 )
             )
         if (engine, query, date) in groups:
@@ -191,8 +216,8 @@ def dumps_dataset(dataset: SerpDataset) -> str:
     lines = []
     for engine, query, date in dataset:
         ranked = dataset.get(engine, query, date)
-        lines.append(_record_to_json(ranked, dataset.categories.get(query)))
-    return "\n".join(lines) + "\n"
+        lines.append(_record_to_json(ranked, dataset.categories.get(query)) + "\n")
+    return "".join(lines) or "\n"  # joined once: the output can be tens of MB
 
 
 def write_dataset(dataset: SerpDataset, path: str | Path) -> None:
@@ -341,6 +366,7 @@ def import_dataset(
     groups: _Groups = {}
     categories: dict[str, str] = {}
     resolved: dict[str, str] = {}
+    strings: dict[str, str] = {}
     dates: dict[str, dt.date] = {}  # each date text parsed so far; a bad one is not stored
     for lineno, obj in _rows(path):
         engine = _mapped_text(obj, engine_spec, "engine", where, lineno)
@@ -375,7 +401,7 @@ def import_dataset(
         if category_spec is not None:
             categories[query] = _mapped_text(obj, category_spec, "category", where, lineno)
         result = _result(
-            url, title, snippet, rank, normalize, redirect_cache, resolved, where, lineno
+            url, title, snippet, rank, normalize, redirect_cache, resolved, strings, where, lineno
         )
         groups.setdefault((engine, query, date), (lineno, []))[1].append(result)
 

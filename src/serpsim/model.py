@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     """One ranked search response: canonical URL, title, snippet, 1-based rank."""
 

@@ -89,6 +89,21 @@ class TestCompare:
         assert out["score"] == "1.0000"
 
     @pytest.mark.parametrize(
+        "day", ["20190701", "2019-W27-1", "2019-7-1"], ids=["basic", "week", "short"]
+    )
+    def test_date_must_be_yyyy_mm_dd(self, grid_file, capsys, day):
+        code = run_cli(
+            [
+                "compare", "--dataset", grid_file,
+                "--engine-a", "x", "--engine-b", "y",
+                "--query", "alpha query", "--date", day,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument --date: Invalid isoformat string: '{day}'" in err
+
+    @pytest.mark.parametrize(
         "metric,expected",
         [("footrule", "0.0000"), ("kendall", "0.0000"), ("jaro", "0.0000"), ("jarowinkler", "0.0000")],
     )

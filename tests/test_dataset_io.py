@@ -10,6 +10,7 @@ from serpsim import (
     DatasetError,
     RedirectCache,
     SearchResult,
+    SerpDataset,
     SimilarityMatrix,
     ValidationError,
     dumps_dataset,
@@ -117,6 +118,12 @@ class TestLoadDataset:
     def test_bad_date_rejected(self, tmp_path):
         path = write_jsonl(tmp_path, record_line(date="01/07/2019"))
         with pytest.raises(DatasetError, match="date"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("date", ["20190701", "2019-W27-1"], ids=["basic", "week"])
+    def test_date_must_be_yyyy_mm_dd(self, tmp_path, date):
+        path = write_jsonl(tmp_path, record_line(), record_line(engine="e2", date=date))
+        with pytest.raises(DatasetError, match=rf"data\.jsonl:2: bad date '{date}'"):
             load_dataset(path)
 
     def test_truncates_to_shortest_list(self, tmp_path):
@@ -266,6 +273,9 @@ class TestRoundTrip:
         source = (data_dir / "sample.jsonl").read_text(encoding="utf-8")
         assert dumps_dataset(load_dataset(data_dir / "sample.jsonl")) == source
 
+    def test_empty_dataset_is_one_newline(self):
+        assert dumps_dataset(SerpDataset({})) == "\n"
+
     def test_write_then_load(self, tmp_path):
         path = write_jsonl(tmp_path, record_line(category="topic"))
         ds = load_dataset(path)
@@ -334,6 +344,12 @@ class TestMatrixIO:
     def test_bad_cell(self):
         text = "# pair\tx\ty\ndate\talpha\n2019-07-01\tmaybe\n"
         with pytest.raises(DatasetError, match="cell"):
+            parse_matrix(text)
+
+    @pytest.mark.parametrize("day", ["20190701", "2019-W27-1"], ids=["basic", "week"])
+    def test_date_must_be_yyyy_mm_dd(self, day):
+        text = f"# pair\tx\ty\ndate\talpha\n2019-07-01\t0.5\n{day}\t0.5\n"
+        with pytest.raises(DatasetError, match=rf"<string>:4: bad date '{day}'"):
             parse_matrix(text)
 
 
@@ -547,6 +563,17 @@ class TestImport:
         with pytest.raises(DatasetError, match=r"data\.jsonl:5: bad date '31/02/2019'"):
             import_dataset(path, mapping)
 
+    @pytest.mark.parametrize(
+        "day", ["20190701", 20190701, "2019-W27-1"], ids=["basic", "number", "week"]
+    )
+    def test_date_without_format_must_be_yyyy_mm_dd(self, tmp_path, day):
+        rows = [{"q": "a", "d": d, "p": p, "u": f"https://{p}.example.com"}
+                for p, d in enumerate(["2019-07-01", day], start=1)]
+        path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
+        with pytest.raises(DatasetError, match=rf"data\.jsonl:2: bad date '{day}'"):
+            import_dataset(path, mapping)
+
     def test_date_format_read_afresh_by_each_import(self, tmp_path):
         row = {"q": "a", "d": "01/07/2019", "p": 1, "u": "https://x.example.com"}
         path = write_jsonl(tmp_path, json.dumps(row))
@@ -592,3 +619,67 @@ class TestImport:
         mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
         ds = import_dataset(path, mapping, redirect_cache=cache)
         assert ds.get("e", "a", D1).urls() == ("https://example.com/final",)
+
+
+# -- one string object per distinct URL, title and snippet per load --
+
+def all_results(ds):
+    return [r for key in ds for r in ds.get(*key).results]
+
+
+def assert_one_object_per_text(results):
+    """Every URL, title and snippet equal to another is the same object, and
+    the results hold fewer distinct texts than occurrences (the check is not empty)."""
+    kept: dict[str, str] = {}
+    texts = [text for r in results for text in (r.url, r.title, r.snippet)]
+    for text in texts:
+        assert kept.setdefault(text, text) is text, text
+    assert len(kept) < len(texts)
+
+
+class TestOneStringPerText:
+    @pytest.mark.parametrize("normalize", [False, True], ids=["plain", "normalize"])
+    def test_load_keeps_one_object_per_text(self, tmp_path, normalize):
+        path = write_jsonl(
+            tmp_path,
+            record_line(urls=("ab", "bc")),
+            record_line(engine="e2", urls=("bc", "ab")),
+            record_line(date="2019-07-02", urls=("ab", "cd")),
+        )
+        assert_one_object_per_text(all_results(load_dataset(path, normalize=normalize)))
+
+    def test_import_keeps_one_object_per_text(self, tmp_path):
+        rows = [{"e": e, "q": "a", "d": "2019-07-01", "p": p, "u": f"https://{u}.example.com/",
+                 "t": f"title {u}", "s": f"snippet {u}"}
+                for e in ("e1", "e2") for p, u in enumerate(("ab", "bc"), start=1)]
+        path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        mapping = {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "u",
+                   "title": "t", "snippet": "s"}
+        for options in ({}, {"normalize": True}):
+            assert_one_object_per_text(all_results(import_dataset(path, mapping, **options)))
+
+    @pytest.mark.parametrize(
+        "cache",
+        [None, RedirectCache({"http://example.com/old": "http://example.com/x"})],
+        ids=["canonical", "redirect"],
+    )
+    def test_raw_urls_with_one_final_form_share_one_string(self, tmp_path, cache):
+        lines = []
+        for engine, url in (("e1", "http://Example.com:80/x"), ("e2", "http://example.com/x/"),
+                            ("e3", "http://EXAMPLE.com/old")):
+            obj = json.loads(record_line(engine=engine))
+            obj["results"] = [{"rank": 1, "url": url, "title": "tt", "snippet": "ss"}]
+            lines.append(json.dumps(obj))
+        ds = load_dataset(write_jsonl(tmp_path, *lines), normalize=True, redirect_cache=cache)
+        urls = [r.url for r in all_results(ds)]
+        if cache is None:
+            urls = urls[:2]  # without the redirect, the third list keeps its own URL
+        assert set(urls) == {"http://example.com/x"}
+        assert all(url is urls[0] for url in urls)
+
+    def test_separate_loads_share_no_text(self, tmp_path):
+        path = write_jsonl(tmp_path, record_line(urls=("ab", "bc")), record_line(engine="e2"))
+        first, second = (all_results(load_dataset(path)) for _ in range(2))
+        assert first == second
+        ids = {id(text) for r in first for text in (r.url, r.title, r.snippet)}
+        assert not any(id(text) in ids for r in second for text in (r.url, r.title, r.snippet))

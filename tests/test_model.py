@@ -1,4 +1,5 @@
 import datetime as dt
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -35,6 +36,18 @@ class TestSearchResult:
     def test_empty_title_and_snippet_allowed(self):
         r = SearchResult(url="https://x.example.com", title="", snippet="", rank=1)
         assert r.title == "" and r.snippet == ""
+
+    def test_slotted_frozen_value(self):
+        r = SearchResult(url="https://x.example.com", title="T", snippet="S", rank=3)
+        assert not hasattr(r, "__dict__")
+        moved = replace(r, rank=1)
+        same = SearchResult(url="https://x.example.com", title="T", snippet="S", rank=1)
+        assert moved == same and hash(moved) == hash(same)
+        assert moved != r and r.rank == 3
+        with pytest.raises(ValidationError):
+            replace(r, rank=0)
+        with pytest.raises(FrozenInstanceError):
+            r.rank = 1
 
 
 class TestRankedList:
