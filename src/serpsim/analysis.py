@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NoReturn
 
 from .combined import (
     PenaltyComponents, combined_similarity, penalty_components, score_from_components,
@@ -118,6 +118,11 @@ def _earliest_dates(dataset: SerpDataset, engine: str) -> dict[str, dt.date]:
     return earliest
 
 
+def _raise_in_cell(exc: ValidationError, cell: str) -> NoReturn:
+    """Re-raise a scoring error with the cell it came from named in front."""
+    raise ValidationError(f"{cell}: {exc}") from exc
+
+
 def _shared_cells(
     dataset: SerpDataset, engine_a: str, engine_b: str
 ) -> tuple[tuple[dt.date, ...], tuple[str, ...], list[tuple[int, int, RankedList, RankedList]]]:
@@ -159,10 +164,13 @@ def _pair_components(
         days, queries, pairs = _shared_cells(dataset, engine_a, engine_b)
         cells = []
         memo_col = None
-        for i, j, list_a, list_b in pairs:
-            if j != memo_col:
-                memo, memo_col = {}, j
-            cells.append((i, j, penalty_components(list_a, list_b, stopwords, memo=memo)))
+        try:
+            for i, j, list_a, list_b in pairs:
+                if j != memo_col:
+                    memo, memo_col = {}, j
+                cells.append((i, j, penalty_components(list_a, list_b, stopwords, memo=memo)))
+        except ValidationError as exc:
+            _raise_in_cell(exc, f"{engine_a} vs {engine_b}, query {list_a.query!r}, {list_a.date}")
         cached = dataset._components[key] = (days, queries, cells)
     return cached
 
@@ -190,7 +198,12 @@ def similarity_matrix(
         cells = [(i, j, score_from_components(comp, cfg).score) for i, j, comp in measured]
     else:
         days, queries, pairs = _shared_cells(dataset, engine_a, engine_b)
-        cells = [(i, j, metric_fn(list_a, list_b)) for i, j, list_a, list_b in pairs]
+        cells = []
+        try:
+            for i, j, list_a, list_b in pairs:
+                cells.append((i, j, metric_fn(list_a, list_b)))
+        except ValidationError as exc:
+            _raise_in_cell(exc, f"{engine_a} vs {engine_b}, query {list_a.query!r}, {list_a.date}")
 
     grid: list[list[float | None]] = [[None] * len(queries) for _ in days]
     for i, j, value in cells:
@@ -352,14 +365,17 @@ def cross_period_drift(
             f"datasets share no queries for engine {engine!r}"
         )
     scores: dict[str, float] = {}
-    for query in shared:
-        old_date = date_old or first_old[query]
-        new_date = date_new or first_new[query]
-        list_old = dataset_old.get(engine, query, old_date)
-        list_new = dataset_new.get(engine, query, new_date)
-        if list_old is None or list_new is None:
-            raise ValidationError(
-                f"no record for {engine}/{query} on the requested date"
-            )
-        scores[query] = combined_similarity(list_old, list_new, cfg, stopwords).score
+    try:
+        for query in shared:
+            old_date = date_old or first_old[query]
+            new_date = date_new or first_new[query]
+            list_old = dataset_old.get(engine, query, old_date)
+            list_new = dataset_new.get(engine, query, new_date)
+            if list_old is None or list_new is None:
+                raise ValidationError(
+                    f"no record for {engine}/{query} on the requested date"
+                )
+            scores[query] = combined_similarity(list_old, list_new, cfg, stopwords).score
+    except ValidationError as exc:
+        _raise_in_cell(exc, f"{engine}, query {query!r}, {old_date} vs {new_date}")
     return scores

@@ -22,7 +22,7 @@ import io
 import json
 import re
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .analysis import SerpDataset
 from .errors import DatasetError, SerpSimError, ValidationError
@@ -72,7 +72,7 @@ def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
     ``\\r`` and ``\\r\\n`` end a line, so a raw U+2028 or U+0085 stays in its record."""
     with path.open(encoding="utf-8") as lines:
         for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
+            if line.isspace():
                 continue
             try:
                 obj = json.loads(line.rstrip("\n"))
@@ -196,28 +196,37 @@ def load_dataset(
     return _assemble(groups, categories, expected_n, strict, where)
 
 
-def _record_to_json(ranked: RankedList, category: str | None) -> str:
-    obj: dict[str, Any] = {
-        "engine": ranked.engine,
-        "query": ranked.query,
-        "date": ranked.date.isoformat(),
-        "results": [
-            {"rank": r.rank, "url": r.url, "title": r.title, "snippet": r.snippet}
+class _Encoded(dict):
+    """Text -> its JSON string literal, encoded by the stdlib on first use."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = json.dumps(text, ensure_ascii=False)
+        return literal
+
+
+def _json_lines(dataset: SerpDataset) -> Iterator[str]:
+    """Each record as one canonical JSON line, as ``json.dumps`` with sorted keys,
+    compact separators and ``ensure_ascii=False`` writes it; each distinct text
+    is encoded once per call."""
+    enc = _Encoded()
+    for engine, query, date in dataset:
+        ranked = dataset.get(engine, query, date)
+        category = dataset.categories.get(query)
+        head = "{" if category is None else f'{{"category":{enc[category]},'
+        results = ",".join([
+            f'{{"rank":{r.rank:d},"snippet":{enc[r.snippet]},'
+            f'"title":{enc[r.title]},"url":{enc[r.url]}}}'
             for r in ranked.results
-        ],
-    }
-    if category is not None:
-        obj["category"] = category
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+        ])
+        yield (
+            f'{head}"date":{enc[date.isoformat()]},"engine":{enc[engine]},'
+            f'"query":{enc[query]},"results":[{results}]}}\n'
+        )
 
 
 def dumps_dataset(dataset: SerpDataset) -> str:
     """Serialize a dataset to canonical JSON Lines text."""
-    lines = []
-    for engine, query, date in dataset:
-        ranked = dataset.get(engine, query, date)
-        lines.append(_record_to_json(ranked, dataset.categories.get(query)) + "\n")
-    return "".join(lines) or "\n"  # joined once: the output can be tens of MB
+    return "".join(_json_lines(dataset)) or "\n"  # joined once: the output can be tens of MB
 
 
 def write_dataset(dataset: SerpDataset, path: str | Path) -> None:
@@ -294,21 +303,27 @@ _REQUIRED_FIELDS = ("engine", "query", "date", "rank", "url")
 _MAPPED_FIELDS = _REQUIRED_FIELDS + ("title", "snippet", "category")
 
 
-def _mapped_value(obj: Mapping[str, Any], spec: Any, field: str, path: str, lineno: int) -> Any:
-    """Resolve one field of a row from its mapping spec, which ``import_dataset``
-    has checked: a source key, or {"const": value}."""
+def _reader(spec: Any, field: str, path: str) -> Callable[[Mapping[str, Any], int], Any]:
+    """A function of ``(row, lineno)`` that reads one field from a row, built once
+    from its mapping spec, which ``import_dataset`` has checked: a source key, or
+    {"const": value}."""
     if isinstance(spec, dict):
-        return spec["const"]
-    if spec not in obj:
-        raise DatasetError(f"source field {spec!r} (for {field!r}) not found", path, lineno)
-    return obj[spec]
+        value = spec["const"]
+        return lambda row, lineno: value
+
+    def read(row: Mapping[str, Any], lineno: int) -> Any:
+        try:
+            return row[spec]
+        except KeyError:
+            problem = f"source field {spec!r} (for {field!r}) not found"
+            raise DatasetError(problem, path, lineno) from None
+
+    return read
 
 
-def _mapped_text(obj: Mapping[str, Any], spec: Any, field: str, path: str, lineno: int) -> str:
-    """Resolve a mapped text field; a number is written as text, null is refused."""
-    value = _mapped_value(obj, spec, field, path, lineno)
-    if type(value) is str:
-        return value
+def _text(value: Any, field: str, path: str, lineno: int) -> str:
+    """A mapped text field that is not a str: a number is written as text,
+    null, an object or an array is refused."""
     if value is None or isinstance(value, (dict, list)):
         problem = f"must be a string or a number, got {type(value).__name__}"
         raise DatasetError(f"field {field!r} {problem}", path, lineno)
@@ -358,20 +373,30 @@ def import_dataset(
             f"got {type(date_format).__name__}"
         )
 
-    engine_spec, query_spec, date_spec, rank_spec, url_spec = map(mapping.get, _REQUIRED_FIELDS)
-    title_spec, snippet_spec, category_spec = map(mapping.get, ("title", "snippet", "category"))
-
     path = Path(path)
     where = str(path)
+    read_engine, read_query, read_date, read_rank, read_url = (
+        _reader(mapping[field], field, where) for field in _REQUIRED_FIELDS
+    )
+    read_title, read_snippet = (
+        _reader(mapping.get(field, {"const": ""}), field, where) for field in ("title", "snippet")
+    )
+    category_spec = mapping.get("category")
+    read_category = None if category_spec is None else _reader(category_spec, "category", where)
+
     groups: _Groups = {}
     categories: dict[str, str] = {}
     resolved: dict[str, str] = {}
     strings: dict[str, str] = {}
     dates: dict[str, dt.date] = {}  # each date text parsed so far; a bad one is not stored
     for lineno, obj in _rows(path):
-        engine = _mapped_text(obj, engine_spec, "engine", where, lineno)
-        query = _mapped_text(obj, query_spec, "query", where, lineno)
-        raw_date = _mapped_value(obj, date_spec, "date", where, lineno)
+        engine = read_engine(obj, lineno)
+        if type(engine) is not str:
+            engine = _text(engine, "engine", where, lineno)
+        query = read_query(obj, lineno)
+        if type(query) is not str:
+            query = _text(query, "query", where, lineno)
+        raw_date = read_date(obj, lineno)
         date_text = str(raw_date)
         date = dates.get(date_text)
         if date is None:
@@ -383,27 +408,36 @@ def import_dataset(
             else:
                 date = _parse_date(date_text, where, lineno)
             dates[date_text] = date
-        raw_rank = _mapped_value(obj, rank_spec, "rank", where, lineno)
-        if isinstance(raw_rank, bool) or isinstance(raw_rank, float) and not raw_rank.is_integer():
-            raise DatasetError(f"bad rank {raw_rank!r}", where, lineno)
-        try:
-            rank = int(raw_rank)
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(f"bad rank {raw_rank!r}", where, lineno) from exc
-        url = _mapped_value(obj, url_spec, "url", where, lineno)
+        rank = read_rank(obj, lineno)
+        if type(rank) is not int:
+            if isinstance(rank, bool) or isinstance(rank, float) and not rank.is_integer():
+                raise DatasetError(f"bad rank {rank!r}", where, lineno)
+            try:
+                rank = int(rank)
+            except (TypeError, ValueError) as exc:
+                raise DatasetError(f"bad rank {rank!r}", where, lineno) from exc
+        url = read_url(obj, lineno)
         if not isinstance(url, str):
             raise DatasetError(f"field 'url' must be str, got {type(url).__name__}", where, lineno)
-        title = snippet = ""
-        if title_spec is not None:
-            title = _mapped_text(obj, title_spec, "title", where, lineno)
-        if snippet_spec is not None:
-            snippet = _mapped_text(obj, snippet_spec, "snippet", where, lineno)
-        if category_spec is not None:
-            categories[query] = _mapped_text(obj, category_spec, "category", where, lineno)
+        title = read_title(obj, lineno)
+        if type(title) is not str:
+            title = _text(title, "title", where, lineno)
+        snippet = read_snippet(obj, lineno)
+        if type(snippet) is not str:
+            snippet = _text(snippet, "snippet", where, lineno)
+        if read_category is not None:
+            category = read_category(obj, lineno)
+            if type(category) is not str:
+                category = _text(category, "category", where, lineno)
+            categories[query] = category
         result = _result(
             url, title, snippet, rank, normalize, redirect_cache, resolved, strings, where, lineno
         )
-        groups.setdefault((engine, query, date), (lineno, []))[1].append(result)
+        key = (engine, query, date)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (lineno, [])
+        group[1].append(result)
 
     if not groups:
         raise DatasetError("no records to import", where)

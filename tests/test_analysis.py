@@ -99,6 +99,67 @@ class TestSimilarityMatrix:
             similarity_matrix(grid_dataset, "x", "nope", UNIT)
 
 
+def short_list_dataset() -> SerpDataset:
+    """Engines x and y on two queries and two days; y's beta query list on D2 is short."""
+    lists = []
+    for query in ("alpha query", "beta query"):
+        for day in (D1, D2):
+            lists.append(make_list("abc", engine="x", query=query, date=day))
+            short = query == "beta query" and day == D2
+            lists.append(make_list("ab" if short else "acb", engine="y", query=query, date=day))
+    return SerpDataset.from_lists(lists)
+
+
+class TestScoringErrorNamesCell:
+    CELL = "x vs y, query 'beta query', 2019-07-02: lists must be the same length, got 3 and 2"
+
+    def test_combined_matrix(self):
+        with pytest.raises(ValidationError) as info:
+            similarity_matrix(short_list_dataset(), "x", "y", UNIT)
+        assert str(info.value) == self.CELL
+        assert "same length" in str(info.value.__cause__)
+
+    def test_metric_fn_matrix(self):
+        with pytest.raises(ValidationError) as info:
+            similarity_matrix(short_list_dataset(), "x", "y", metric_fn=spearman_footrule_sim)
+        assert str(info.value) == self.CELL
+
+    def test_sweep(self):
+        with pytest.raises(ValidationError) as info:
+            impact_sweep(short_list_dataset(), "x", "y", "snippet")
+        assert str(info.value) == self.CELL
+
+    def test_failed_pair_is_not_cached(self):
+        ds = short_list_dataset()
+        with pytest.raises(ValidationError):
+            similarity_matrix(ds, "x", "y", UNIT)
+        assert ds._components == {}
+
+    def test_drift(self):
+        old = SerpDataset.from_lists([
+            make_list("abc", engine="x", query="alpha query", date=D1),
+            make_list("abc", engine="x", query="beta query", date=D1),
+        ])
+        new = SerpDataset.from_lists([
+            make_list("acb", engine="x", query="alpha query", date=D2),
+            make_list("ab", engine="x", query="beta query", date=D3),
+        ])
+        with pytest.raises(ValidationError) as info:
+            cross_period_drift(old, new, "x", UNIT)
+        assert str(info.value) == (
+            "x, query 'beta query', 2019-07-01 vs 2019-07-03: "
+            "lists must be the same length, got 3 and 2"
+        )
+
+    def test_drift_missing_pinned_date(self, grid_dataset):
+        with pytest.raises(ValidationError) as info:
+            cross_period_drift(grid_dataset, grid_dataset, "y", UNIT, date_old=D1, date_new=D2)
+        assert str(info.value) == (
+            "y, query 'beta query', 2019-07-01 vs 2019-07-02: "
+            "no record for y/beta query on the requested date"
+        )
+
+
 QUERIES = ("alpha", "beta", "alpha gamma")
 # holds the tokens of every query, so each query strips it differently
 SHARED_TEXT = "alpha beta gamma word"

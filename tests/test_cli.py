@@ -316,6 +316,25 @@ class TestMatrix:
         expected = similarity_matrix(load_dataset(grid_file), "x", "y", metric_fn=metric_fn)
         assert capsys.readouterr().out == format_matrix(expected)
 
+    def test_short_list_error_names_cell(self, data_dir, tmp_path, capsys):
+        records = [json.loads(line) for line in
+                   (data_dir / "sample.jsonl").read_text(encoding="utf-8").splitlines()]
+        first_bravo = next(r for r in records if r["engine"] == "bravo")
+        first_bravo["results"] = first_bravo["results"][:8]
+        cut = tmp_path / "cut.jsonl"
+        cut.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        code = run_cli(
+            ["matrix", "--dataset", str(cut), "--engine-a", "acme", "--engine-b", "bravo",
+             "--top-n", "10"]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: acme vs bravo, query {first_bravo['query']!r}, {first_bravo['date']}: "
+            "lists must be the same length, got 10 and 8\n"
+        )
+
 
 class TestConsistencyAndSummary:
     def test_consistency_from_dataset(self, grid_file, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from serpsim import (
     DatasetError,
+    RankedList,
     RedirectCache,
     SearchResult,
     SerpDataset,
@@ -432,6 +433,195 @@ class TestImportMatchesPerRowReference:
         for key, results in lists.items():
             assert ds.get(*key).results == tuple(results)
         assert ds.categories == categories
+
+
+
+# -- reference: the writer as one json.dumps per record --
+
+def _reference_dumps(dataset):
+    lines = []
+    for engine, query, date in dataset:
+        ranked = dataset.get(engine, query, date)
+        obj = {
+            "engine": ranked.engine,
+            "query": ranked.query,
+            "date": ranked.date.isoformat(),
+            "results": [
+                {"rank": r.rank, "url": r.url, "title": r.title, "snippet": r.snippet}
+                for r in ranked.results
+            ],
+        }
+        category = dataset.categories.get(query)
+        if category is not None:
+            obj["category"] = category
+        lines.append(
+            json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+        )
+    return "".join(lines) or "\n"
+
+
+#: Characters a JSON encoder must escape or may get wrong: quotes, backslashes,
+#: C0 controls, DEL, line and paragraph separators, NEL, non-ASCII and non-BMP.
+_HARD_CHARS = '"\\/\x00\x01\x08\t\n\r\x1f\x7f\u2028\u2029\x85\u00e9\U0001f600 a'
+_JSON_TEXTS = st.text(st.one_of(st.sampled_from(_HARD_CHARS), st.characters()), max_size=5)
+
+
+@st.composite
+def _datasets(draw):
+    """Datasets whose texts come from one small pool, so many texts repeat."""
+    pool = draw(st.lists(_JSON_TEXTS, min_size=1, max_size=6, unique=True))
+    names = [text for text in pool if text] or ["x"]
+    lists = {}
+    for _ in range(draw(st.integers(0, 5))):
+        key = (draw(st.sampled_from(names)), draw(st.sampled_from(names)),
+               draw(st.sampled_from(_DAYS)))
+        urls = draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+        lists[key] = RankedList(
+            engine=key[0], query=key[1], date=key[2],
+            results=tuple(
+                SearchResult(url=url, title=draw(st.sampled_from(pool)),
+                             snippet=draw(st.sampled_from(pool)), rank=rank)
+                for rank, url in enumerate(urls, start=1)
+            ),
+        )
+    queries = sorted({query for _, query, _ in lists})
+    categories = {query: draw(st.sampled_from(pool)) for query in queries if draw(st.booleans())}
+    return SerpDataset(lists, categories)
+
+
+class TestDumpsMatchesPerRecordReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(dataset=_datasets())
+    def test_matches_reference(self, dataset):
+        assert dumps_dataset(dataset) == _reference_dumps(dataset)
+
+
+# -- reference: the importer's row loop with a dispatch on each spec per row --
+
+def _reference_mapped_value(obj, spec, field, path, lineno):
+    if isinstance(spec, dict):
+        return spec["const"]
+    if spec not in obj:
+        raise DatasetError(f"source field {spec!r} (for {field!r}) not found", path, lineno)
+    return obj[spec]
+
+
+def _reference_mapped_text(obj, spec, field, path, lineno):
+    value = _reference_mapped_value(obj, spec, field, path, lineno)
+    if type(value) is str:
+        return value
+    if value is None or isinstance(value, (dict, list)):
+        problem = f"must be a string or a number, got {type(value).__name__}"
+        raise DatasetError(f"field {field!r} {problem}", path, lineno)
+    return str(value)
+
+
+def _reference_import_rows(path, mapping):
+    """``import_dataset`` after its mapping checks, one spec dispatch per field per row."""
+    engine_spec, query_spec, date_spec, rank_spec, url_spec = map(
+        mapping.get, dataset_io._REQUIRED_FIELDS
+    )
+    title_spec, snippet_spec, category_spec = map(mapping.get, ("title", "snippet", "category"))
+    date_format = mapping.get("date_format")
+    where = str(path)
+    groups, categories, resolved, strings, dates = {}, {}, {}, {}, {}
+    for lineno, obj in dataset_io._rows(path):
+        engine = _reference_mapped_text(obj, engine_spec, "engine", where, lineno)
+        query = _reference_mapped_text(obj, query_spec, "query", where, lineno)
+        raw_date = _reference_mapped_value(obj, date_spec, "date", where, lineno)
+        date_text = str(raw_date)
+        date = dates.get(date_text)
+        if date is None:
+            if date_format:
+                try:
+                    date = dt.datetime.strptime(date_text, date_format).date()
+                except ValueError as exc:
+                    raise DatasetError(f"bad date {raw_date!r}: {exc}", where, lineno) from exc
+            else:
+                date = dataset_io._parse_date(date_text, where, lineno)
+            dates[date_text] = date
+        raw_rank = _reference_mapped_value(obj, rank_spec, "rank", where, lineno)
+        if isinstance(raw_rank, bool) or isinstance(raw_rank, float) and not raw_rank.is_integer():
+            raise DatasetError(f"bad rank {raw_rank!r}", where, lineno)
+        try:
+            rank = int(raw_rank)
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"bad rank {raw_rank!r}", where, lineno) from exc
+        url = _reference_mapped_value(obj, url_spec, "url", where, lineno)
+        if not isinstance(url, str):
+            raise DatasetError(f"field 'url' must be str, got {type(url).__name__}", where, lineno)
+        title = snippet = ""
+        if title_spec is not None:
+            title = _reference_mapped_text(obj, title_spec, "title", where, lineno)
+        if snippet_spec is not None:
+            snippet = _reference_mapped_text(obj, snippet_spec, "snippet", where, lineno)
+        if category_spec is not None:
+            categories[query] = _reference_mapped_text(
+                obj, category_spec, "category", where, lineno
+            )
+        result = dataset_io._result(
+            url, title, snippet, rank, False, None, resolved, strings, where, lineno
+        )
+        groups.setdefault((engine, query, date), (lineno, []))[1].append(result)
+    if not groups:
+        raise DatasetError("no records to import", where)
+    return dataset_io._assemble(groups, categories, None, False, where)
+
+
+_NAN = float("nan")
+#: Per field: values a row may hold, good ones first, then defects.
+_ROW_VALUES = {
+    "engine": (["e1", "e2", 7], [None, {"x": 1}, ["x"], ""]),
+    "query": (["a b", "c", 1.5], [None, {}, []]),
+    "date": (["2019-07-01", "2016-03-01"], ["07/01/2019", 20190701, None, "2019-7-1"]),
+    "rank": ([1, 2, 3, 2.0], [True, 1.9, "x", _NAN, None]),
+    "url": (["https://a.example.com/", "https://b.example.com/"], [None, 5, ""]),
+    "title": (["t", "", 3], [None, {}, ["t"]]),
+    "snippet": (["s", ""], [None, {"s": 1}, []]),
+    "category": (["topic", 0], [None, [], {}]),
+}
+
+
+@st.composite
+def _defective_imports(draw):
+    """Flat rows with a few random defects, and a mapping of source keys and consts."""
+    mapping = {}
+    for field, (good, bad) in _ROW_VALUES.items():
+        hows = ["key", "key", "const"] + (["absent"] if field in _OPTIONAL else [])
+        how = draw(st.sampled_from(hows))
+        if how == "key":
+            mapping[field] = field[:2]
+        elif how == "const":
+            mapping[field] = {"const": draw(st.sampled_from(good + bad[:1]))}
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = {}
+        for field, (good, bad) in _ROW_VALUES.items():
+            choice = draw(st.integers(0, 11))
+            if choice == 11:
+                continue  # the source key is missing
+            row[field[:2]] = bad[choice % len(bad)] if choice >= 9 else draw(st.sampled_from(good))
+        rows.append(row)
+    return rows, mapping
+
+
+def _outcome(load):
+    try:
+        ds = load()
+    except DatasetError as exc:
+        return "error", str(exc), exc.line
+    return "ok", [ds.get(*key) for key in ds], ds.categories
+
+
+class TestImportErrorsMatchPerRowDispatch:
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flat=_defective_imports())
+    def test_matches_reference(self, tmp_path, flat):
+        rows, mapping = flat
+        path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        expected = _outcome(lambda: _reference_import_rows(path, mapping))
+        assert _outcome(lambda: import_dataset(path, mapping)) == expected
 
 
 class TestImport:
