@@ -37,7 +37,7 @@ from .rank_metrics import (
     spearman_footrule_sim,
 )
 from .textsim import load_stopwords
-from .urlnorm import RedirectCache, _follow_cache, canonicalize
+from .urlnorm import RedirectCache, _LINE_END, _follow_cache, canonicalize
 
 #: The rank-only baselines ``--metric`` can select instead of ``combined``.
 BASELINE_METRICS = {
@@ -308,7 +308,7 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
         text = Path(args.file).read_text(encoding="utf-8")
     cache = RedirectCache.from_file(args.redirects) if args.redirects else None
     lines = []
-    for line in text.splitlines():
+    for line in _LINE_END.split(text):
         url = line.strip()
         if not url or url.startswith("#"):
             continue

@@ -33,6 +33,8 @@ _MATRIX_PAIR_PREFIX = "# pair"
 
 #: Each list's key -> (line of its first row, its results in input order).
 _Groups = dict[tuple[str, str, dt.date], tuple[int, list[SearchResult]]]
+#: Each query -> (its category, the line that first gave it).
+_Categories = dict[str, tuple[str, int]]
 
 
 def _require(obj: Mapping[str, Any], key: str, kind: type, path: str, lineno: int) -> Any:
@@ -86,13 +88,17 @@ def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
 def _result(
     url: str, title: str, snippet: str, rank: int, normalize: bool,
     redirect_cache: RedirectCache | None, resolved: dict[str, str], strings: dict[str, str],
-    path: str, lineno: int,
+    built: dict[tuple[str, str, str, int], SearchResult], path: str, lineno: int,
 ) -> SearchResult:
-    """Build one result, normalizing its URL if asked or if a redirect cache is
-    given. ``resolved`` maps each raw URL the load has normalized to its result;
-    a URL that raises is not stored, so each of its lines reports the error.
-    ``strings`` maps each URL, title and snippet text the load has kept to its
-    one stored copy, so equal texts of different results are one object."""
+    """The result of one row whose fields the loader has checked, normalizing its
+    URL if asked or if a redirect cache is given. ``resolved`` maps each raw URL
+    the load has normalized to its result; a URL that raises is not stored, so
+    each of its lines reports the error. ``strings`` maps each URL, title and
+    snippet text the load has kept to its one stored copy, so equal texts of
+    different results are one object. ``built`` maps each (final URL, title,
+    snippet, rank) to the one result the load has built for it; results are
+    frozen, so equal results share it. A rank is an int here, so a key equals a
+    stored one only if the row would pass the result's own checks."""
     try:
         if redirect_cache is not None or normalize:
             final = resolved.get(url)
@@ -105,14 +111,27 @@ def _result(
             url = final
         else:
             url = strings.setdefault(url, url)
-        return SearchResult(
-            url=url,
-            title=strings.setdefault(title, title),
-            snippet=strings.setdefault(snippet, snippet),
-            rank=rank,
-        )
+        title = strings.setdefault(title, title)
+        snippet = strings.setdefault(snippet, snippet)
+        key = (url, title, snippet, rank)
+        result = built.get(key)
+        if result is None:
+            result = built[key] = SearchResult(url=url, title=title, snippet=snippet, rank=rank)
+        return result
     except SerpSimError as exc:
         raise DatasetError(str(exc), path, lineno) from exc
+
+
+def _add_category(
+    categories: _Categories, query: str, category: str, path: str, lineno: int
+) -> None:
+    """Record ``query``'s category; DatasetError if an earlier line gave another."""
+    known = categories.get(query)
+    if known is None:
+        categories[query] = (category, lineno)
+    elif known[0] != category:
+        problem = f"query {query!r} has category {category!r}, but line {known[1]} gave"
+        raise DatasetError(f"{problem} {known[0]!r}", path, lineno)
 
 
 def _assemble(
@@ -150,9 +169,10 @@ def load_dataset(
     path = Path(path)
     where = str(path)
     groups: _Groups = {}
-    categories: dict[str, str] = {}
+    categories: _Categories = {}
     resolved: dict[str, str] = {}
     strings: dict[str, str] = {}
+    built: dict[tuple[str, str, str, int], SearchResult] = {}
     for lineno, obj in _rows(path):
         engine = _require(obj, "engine", str, where, lineno)
         query = _require(obj, "query", str, where, lineno)
@@ -162,18 +182,22 @@ def load_dataset(
             raise DatasetError("field 'results' must be a non-empty array", where, lineno)
         results: list[SearchResult] = []
         for item in raw:
-            if not isinstance(item, dict):
+            if type(item) is not dict:
                 raise DatasetError("each result must be a JSON object", where, lineno)
-            url = _require(item, "url", str, where, lineno)
-            rank = _require(item, "rank", int, where, lineno)
+            url = item.get("url")  # _require only to name what is wrong
+            if type(url) is not str:
+                url = _require(item, "url", str, where, lineno)
+            rank = item.get("rank")
+            if type(rank) is not int:
+                rank = _require(item, "rank", int, where, lineno)
             title = item.get("title", "")
             snippet = item.get("snippet", "")
-            if not isinstance(title, str) or not isinstance(snippet, str):
+            if type(title) is not str or type(snippet) is not str:
                 raise DatasetError("title and snippet must be strings", where, lineno)
             results.append(
                 _result(
                     url, title, snippet, rank, normalize, redirect_cache, resolved, strings,
-                    where, lineno,
+                    built, where, lineno,
                 )
             )
         if (engine, query, date) in groups:
@@ -187,13 +211,14 @@ def load_dataset(
         if category is not None:
             if not isinstance(category, str):
                 raise DatasetError("field 'category' must be a string", where, lineno)
-            categories[query] = category
+            _add_category(categories, query, category, where, lineno)
 
     if not groups:
         raise DatasetError("dataset contains no records", where)
     if expected_n is None:
         expected_n = min(len({r.url for r in results}) for _, results in groups.values())
-    return _assemble(groups, categories, expected_n, strict, where)
+    labels = {query: category for query, (category, _) in categories.items()}
+    return _assemble(groups, labels, expected_n, strict, where)
 
 
 class _Encoded(dict):
@@ -385,9 +410,10 @@ def import_dataset(
     read_category = None if category_spec is None else _reader(category_spec, "category", where)
 
     groups: _Groups = {}
-    categories: dict[str, str] = {}
+    categories: _Categories = {}
     resolved: dict[str, str] = {}
     strings: dict[str, str] = {}
+    built: dict[tuple[str, str, str, int], SearchResult] = {}
     dates: dict[str, dt.date] = {}  # each date text parsed so far; a bad one is not stored
     for lineno, obj in _rows(path):
         engine = read_engine(obj, lineno)
@@ -429,9 +455,10 @@ def import_dataset(
             category = read_category(obj, lineno)
             if type(category) is not str:
                 category = _text(category, "category", where, lineno)
-            categories[query] = category
+            _add_category(categories, query, category, where, lineno)
         result = _result(
-            url, title, snippet, rank, normalize, redirect_cache, resolved, strings, where, lineno
+            url, title, snippet, rank, normalize, redirect_cache, resolved, strings, built,
+            where, lineno,
         )
         key = (engine, query, date)
         group = groups.get(key)
@@ -441,4 +468,5 @@ def import_dataset(
 
     if not groups:
         raise DatasetError("no records to import", where)
-    return _assemble(groups, categories, expected_n, strict, where)
+    labels = {query: category for query, (category, _) in categories.items()}
+    return _assemble(groups, labels, expected_n, strict, where)

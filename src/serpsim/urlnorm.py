@@ -31,11 +31,22 @@ _ESCAPE = re.compile("%([0-9A-Fa-f]{2})")
 # letter, then letters, digits, "+", "-" or "."): scheme, authority, path
 # and query; the fragment is whatever follows and is dropped.
 _SPLIT = re.compile(r"(?:([A-Za-z][A-Za-z0-9+.-]*):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?")
+# A URL none of _split's checks can touch, in one match: printable ASCII with
+# no whitespace, a scheme, an ASCII host with no userinfo or brackets, an
+# optional digit port and a path that is empty or rooted. Groups: scheme,
+# host, port, path and query.
+_PLAIN = re.compile(
+    r"([A-Za-z][A-Za-z0-9+.-]*)://([!\"$-.0-9;->A-Z\\^-~]+)(?::([0-9]+))?"
+    r"(/[!\"$->@-~]*)?(?:\?([!\"$-~]*))?(?:#[!-~]*)?"
+)
 # what urlsplit strips from the front (WHATWG C0 control or space) and removes anywhere
 _C0_CONTROL_OR_SPACE = "".join(map(chr, range(0x21)))
 _IPV_FUTURE = re.compile(r"v[0-9A-Fa-f]+\..+")
 _SPACE = re.compile(r"\s")  # the same code points as str.isspace()
 _USES_NETLOC = frozenset(urllib.parse.uses_netloc)
+# only "\n", "\r" and "\r\n" end a line; str.splitlines() also ends one at
+# U+2028, U+0085 and other characters a URL may hold
+_LINE_END = re.compile(r"\r\n?|\n")
 
 #: (status, location) returned by a fetch callable; location is None unless redirected.
 Fetch = Callable[[str], tuple[int, str | None]]
@@ -154,15 +165,22 @@ def canonicalize(url: str, *, sort_query: bool = False, strip_www: bool = False)
 
 
 def _canonicalize_once(url: str, sort_query: bool, strip_www: bool) -> str:
-    if not isinstance(url, str) or not url.strip():
-        raise UrlParseError(str(url), "empty input")
-    scheme, netloc, path, query = _split(url)
+    plain = _PLAIN.fullmatch(url) if isinstance(url, str) else None
+    if plain:
+        scheme, host, port, path, query = plain.groups("")
+        userinfo = ""
+    else:
+        if not isinstance(url, str) or not url.strip():
+            raise UrlParseError(str(url), "empty input")
+        scheme, netloc, path, query = _split(url)
+        if not scheme:
+            raise UrlParseError(url, "missing scheme (not an absolute URL)")
+        # host None: the URL has no authority
+        userinfo, host, port = _split_netloc(netloc, url) if netloc else ("", None, "")
     scheme = scheme.lower()
-    if not scheme:
-        raise UrlParseError(url, "missing scheme (not an absolute URL)")
 
-    if netloc:
-        userinfo, host, port = _split_netloc(netloc, url)
+    netloc = ""
+    if host is not None:
         host = host.lower()
         if _SPACE.search(host):
             raise UrlParseError(url, f"whitespace in host {host!r}")
@@ -232,7 +250,7 @@ class RedirectCache:
         """Load a cache from a UTF-8 file of "source<TAB>target" lines."""
         cache = cls()
         text = Path(path).read_text(encoding="utf-8")
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(_LINE_END.split(text), start=1):
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             fields = line.split("\t")

@@ -511,6 +511,15 @@ class TestNormalizeUrls:
         assert run_cli(["normalize-urls", "-"]) == 0
         assert capsys.readouterr().out == "http://x.example.com/b\n"
 
+    def test_unicode_line_break_stays_in_its_url(self, tmp_path, capsys):
+        path = tmp_path / "urls.txt"
+        path.write_text("http://A.com/x\u2028y\r\nhttp://b.com/\x85z\rhttp://C.com\n",
+                        encoding="utf-8")
+        assert run_cli(["normalize-urls", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "http://a.com/x\u2028y\nhttp://b.com/\x85z\nhttp://c.com/\n"
+        )
+
     def test_bad_url_exits_two(self, tmp_path, capsys):
         path = tmp_path / "urls.txt"
         path.write_text("not-a-url\n", encoding="utf-8")
@@ -550,6 +559,20 @@ class TestImport:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert [json.loads(line)["date"] for line in lines] == ["2019-07-01", "2019-07-02"]
+
+    def test_two_categories_for_one_query_exit_two(self, tmp_path, capsys):
+        rows = [{"q": "q", "d": day, "p": 1, "u": "http://a.com/", "topic": topic}
+                for day, topic in (("2019-07-01", "energy"), ("2019-07-02", "travel"))]
+        flat = tmp_path / "flat.jsonl"
+        flat.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps({"engine": {"const": "e"}, "query": "q", "date": "d",
+                                       "rank": "p", "url": "u", "category": "topic"}))
+        assert run_cli(["import", "--input", str(flat), "--mapping", str(mapping)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {flat}:2: query 'q' has category 'travel', "
+                       "but line 1 gave 'energy'\n")
 
     def test_bad_mapping_file_exits_two(self, data_dir, tmp_path, capsys):
         mapping = tmp_path / "mapping.json"

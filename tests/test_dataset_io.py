@@ -1,5 +1,6 @@
 import datetime as dt
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +25,7 @@ from serpsim import (
     write_matrix,
 )
 from serpsim import dataset_io, urlnorm
+from serpsim.model import validate_ranked_list
 
 D1 = dt.date(2019, 7, 1)
 
@@ -268,6 +270,19 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="category"):
             load_dataset(path)
 
+    def test_second_category_for_a_query_rejected(self, tmp_path):
+        path = write_jsonl(
+            tmp_path,
+            record_line(category="energy"),
+            record_line(date="2019-07-02"),  # no category: no conflict
+            record_line(date="2019-07-03", category="energy"),
+            record_line(engine="e2", category="travel"),
+        )
+        message = ("data.jsonl:4: query 'sample query' has category 'travel', "
+                   "but line 1 gave 'energy'")
+        with pytest.raises(DatasetError, match=re.escape(message)):
+            load_dataset(path)
+
 
 class TestRoundTrip:
     def test_sample_corpus_bytes_stable(self, data_dir):
@@ -397,26 +412,34 @@ def _flat_imports(draw):
 
 
 def _reference_import(rows, mapping):
-    """Each list's results in rank order, and the categories, built row by row."""
+    """Each list's results in rank order, and the categories, built row by row;
+    DatasetError (with no path) at the row whose query an earlier row gave
+    another category."""
     def text(row, field, default=None):
         spec = mapping.get(field)
         if spec is None:
             return default
         return str(spec["const"] if isinstance(spec, dict) else row[spec])
 
-    lists, categories = {}, {}
-    for row in rows:
+    lists, categories, first_lines = {}, {}, {}
+    for lineno, row in enumerate(rows, start=1):
         if "date_format" in mapping:
             day = dt.datetime.strptime(str(row["day"]), mapping["date_format"]).date()
         else:
             day = dt.date.fromisoformat(row["day"])
-        results = lists.setdefault((text(row, "engine"), text(row, "query"), day), [])
+        query = text(row, "query")
+        if "category" in mapping:
+            category = text(row, "category")
+            known = categories.setdefault(query, category)
+            first = first_lines.setdefault(query, lineno)
+            if known != category:
+                problem = f"query {query!r} has category {category!r}, but line {first} gave"
+                raise DatasetError(f"{problem} {known!r}", None, lineno)
+        results = lists.setdefault((text(row, "engine"), query, day), [])
         results.append(SearchResult(
             url=row["link"], title=text(row, "title", ""), snippet=text(row, "snippet", ""),
             rank=len(results) + 1,
         ))
-        if "category" in mapping:
-            categories[text(row, "query")] = text(row, "category")
     return lists, categories
 
 
@@ -427,8 +450,14 @@ class TestImportMatchesPerRowReference:
     def test_matches_reference(self, tmp_path, flat):
         rows, mapping = flat
         path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        try:
+            lists, categories = _reference_import(rows, mapping)
+        except DatasetError as exc:
+            with pytest.raises(DatasetError) as raised:
+                import_dataset(path, mapping)
+            assert str(raised.value) == f"{path}:{exc.line}: {exc}"
+            return
         ds = import_dataset(path, mapping)
-        lists, categories = _reference_import(rows, mapping)
         assert sorted(ds) == sorted(lists)
         for key, results in lists.items():
             assert ds.get(*key).results == tuple(results)
@@ -524,7 +553,7 @@ def _reference_import_rows(path, mapping):
     title_spec, snippet_spec, category_spec = map(mapping.get, ("title", "snippet", "category"))
     date_format = mapping.get("date_format")
     where = str(path)
-    groups, categories, resolved, strings, dates = {}, {}, {}, {}, {}
+    groups, categories, first_lines, resolved, strings, dates = {}, {}, {}, {}, {}, {}
     for lineno, obj in dataset_io._rows(path):
         engine = _reference_mapped_text(obj, engine_spec, "engine", where, lineno)
         query = _reference_mapped_text(obj, query_spec, "query", where, lineno)
@@ -556,11 +585,14 @@ def _reference_import_rows(path, mapping):
         if snippet_spec is not None:
             snippet = _reference_mapped_text(obj, snippet_spec, "snippet", where, lineno)
         if category_spec is not None:
-            categories[query] = _reference_mapped_text(
-                obj, category_spec, "category", where, lineno
-            )
+            category = _reference_mapped_text(obj, category_spec, "category", where, lineno)
+            known = categories.setdefault(query, category)
+            first = first_lines.setdefault(query, lineno)
+            if known != category:
+                problem = f"query {query!r} has category {category!r}, but line {first} gave"
+                raise DatasetError(f"{problem} {known!r}", where, lineno)
         result = dataset_io._result(
-            url, title, snippet, rank, False, None, resolved, strings, where, lineno
+            url, title, snippet, rank, False, None, resolved, strings, {}, where, lineno
         )
         groups.setdefault((engine, query, date), (lineno, []))[1].append(result)
     if not groups:
@@ -873,3 +905,146 @@ class TestOneStringPerText:
         assert first == second
         ids = {id(text) for r in first for text in (r.url, r.title, r.snippet)}
         assert not any(id(text) in ids for r in second for text in (r.url, r.title, r.snippet))
+
+
+# -- one result object per distinct (final URL, title, snippet, rank) per load --
+
+#: Raw URLs with repeated final forms: the first two canonicalize alike, and
+#: the cache sends the fourth to the first.
+_SHARED_URLS = (
+    "http://a.example.com/x", "HTTP://A.example.com:80/x/", "http://b.example.com/y",
+    "http://b.example.com/old", "https://c.example.com/",
+)
+_SHARED_CACHE = {"http://b.example.com/old": "http://a.example.com/x"}
+#: One field of a result that both loaders reject.
+_RESULT_DEFECTS = (
+    {"rank": 0}, {"rank": True}, {"rank": None}, {"url": ""}, {"url": 5}, {"title": None},
+)
+
+
+@st.composite
+def _repeated_results(draw):
+    """Native lines whose results repeat across lists and engines, and maybe one
+    more line, after the line it copies, holding a copy of one of its results
+    with one defect: (lines, that line's index or None)."""
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(["e1", "e2"]), st.sampled_from(["q1", "q2"]),
+                  st.sampled_from(["2019-07-01", "2016-03-01"])),
+        min_size=1, max_size=6, unique=True,
+    ))
+    lines = [
+        {"engine": engine, "query": query, "date": day, "results": [
+            {"rank": rank, "url": draw(st.sampled_from(_SHARED_URLS)),
+             "title": draw(st.sampled_from(["t", "u"])),
+             "snippet": draw(st.sampled_from(["s", ""]))}
+            for rank in range(1, draw(st.integers(1, 4)) + 1)
+        ]}
+        for engine, query, day in keys
+    ]
+    if not draw(st.booleans()):
+        return lines, None
+    good = draw(st.integers(0, len(lines) - 1))
+    result = draw(st.sampled_from(lines[good]["results"]))
+    bad = draw(st.integers(good + 1, len(lines)))
+    lines.insert(bad, dict(lines[good], results=[result | draw(st.sampled_from(_RESULT_DEFECTS))]))
+    return lines, bad
+
+
+def _flat_rows(lines):
+    return [{"e": obj["engine"], "q": obj["query"], "d": obj["date"], "p": r["rank"],
+             "u": r["url"], "t": r["title"], "s": r["snippet"]}
+            for obj in lines for r in obj["results"]]
+
+
+_FLAT_MAPPING = {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "u",
+                 "title": "t", "snippet": "s"}
+
+
+def _reference_lists(lines, final, depth):
+    """Each list built from one fresh ``SearchResult`` per row; ``final`` maps a
+    raw URL to its final form, ``depth`` the lists to the depth they keep."""
+    groups = {}
+    for obj in lines:
+        results = groups.setdefault(
+            (obj["engine"], obj["query"], dt.date.fromisoformat(obj["date"])), []
+        )
+        results.extend(
+            SearchResult(url=final(r["url"]), title=r["title"], snippet=r["snippet"],
+                         rank=r["rank"])
+            for r in obj["results"]
+        )
+    n = depth(groups.values())
+    return {
+        key: validate_ranked_list(results, n or len(results), engine=key[0], query=key[1],
+                                  date=key[2])
+        for key, results in groups.items()
+    }
+
+
+def _shortest(lists):
+    return min(len({r.url for r in results}) for results in lists)
+
+
+def _message(exc):
+    """A DatasetError's text without its ``file:line: `` prefix."""
+    return str(exc).removeprefix(f"{exc.path}:{exc.line}: ")
+
+
+class TestOneResultPerDistinctResult:
+    """Equal results of one load share one object; it must not change what a
+    load returns, nor which line a bad result is reported at."""
+
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_repeated_results())
+    def test_matches_fresh_result_per_row_reference(self, tmp_path, case):
+        lines, bad = case
+        cache = RedirectCache(_SHARED_CACHE)
+        finals = (
+            ({}, lambda url: url),
+            ({"normalize": True}, urlnorm.canonicalize),
+            ({"redirect_cache": cache},
+             lambda url: urlnorm.resolve_redirects(url, cache, "offline")),
+        )
+        formats = (  # texts, the bad one's index, the loader, its default depth
+            ([json.dumps(obj) for obj in lines], bad, load_dataset, _shortest),
+            ([json.dumps(row) for row in _flat_rows(lines)],
+             None if bad is None else len(_flat_rows(lines[:bad])),
+             lambda path, **options: import_dataset(path, _FLAT_MAPPING, **options),
+             lambda lists: None),
+        )
+        for texts, bad_at, load, depth in formats:
+            path = write_jsonl(tmp_path, *texts)
+            for options, final in finals:
+                if bad_at is None:
+                    ds = load(path, **options)
+                    expected = _reference_lists(lines, final, depth)
+                    assert {key: ds.get(*key) for key in ds} == expected
+                    continue
+                alone = tmp_path / "alone.jsonl"
+                alone.write_text(texts[bad_at] + "\n", encoding="utf-8")
+                with pytest.raises(DatasetError) as own:
+                    load(alone, **options)
+                with pytest.raises(DatasetError) as raised:
+                    load(path, **options)
+                assert raised.value.line == bad_at + 1
+                assert _message(raised.value) == _message(own.value)
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["plain", "normalize"])
+    def test_equal_results_are_one_object(self, tmp_path, normalize):
+        lines = [json.loads(line) for line in (
+            record_line(urls=("ab", "bc")),
+            record_line(engine="e2", urls=("ab", "cd")),
+            record_line(date="2019-07-02", urls=("ab", "bc")),
+        )]
+        path = write_jsonl(tmp_path, *map(json.dumps, lines))
+        flat = tmp_path / "flat.jsonl"
+        flat.write_text("".join(json.dumps(row) + "\n" for row in _flat_rows(lines)),
+                        encoding="utf-8")
+        for ds in (load_dataset(path, normalize=normalize),
+                   import_dataset(flat, _FLAT_MAPPING, normalize=normalize)):
+            results = all_results(ds)
+            kept = {}
+            for result in results:
+                assert kept.setdefault(result, result) is result, result
+            assert len(kept) == 3 < len(results)

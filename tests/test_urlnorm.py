@@ -200,6 +200,24 @@ class TestSplitMatchesUrlsplit:
     @given(url=_differential_urls(), sort_query=st.booleans(), strip_www=st.booleans())
     @example(url="http://[zz]/a", sort_query=False, strip_www=False)
     @example(url="1a://b/c", sort_query=False, strip_www=False)
+    # near misses of the one-match split of plain URLs
+    @example(url="http://a.com:80x", sort_query=False, strip_www=False)
+    @example(url="http://a.com:/x", sort_query=False, strip_www=False)
+    @example(url="http://a.com:", sort_query=False, strip_www=False)
+    @example(url="http://u@a.com/x", sort_query=False, strip_www=False)
+    @example(url="http://a.com/x@y", sort_query=False, strip_www=False)
+    @example(url="http://[::1]:80/x", sort_query=False, strip_www=False)
+    @example(url="http://a.com/[x]", sort_query=False, strip_www=False)
+    @example(url="http://a.com/x\ty", sort_query=False, strip_www=False)
+    @example(url="http://a.com/x y", sort_query=False, strip_www=False)
+    @example(url="http://a.com/x ", sort_query=False, strip_www=False)
+    @example(url="http://\u00e9.com/x", sort_query=False, strip_www=False)
+    @example(url="http://a.com/\u00e9", sort_query=False, strip_www=False)
+    @example(url="http://a.com/%2e/x", sort_query=False, strip_www=False)
+    @example(url="http://a.com/a/%2E%2e/b/", sort_query=False, strip_www=False)
+    @example(url="http://WWW.a.com:0080/x?b=1&a=2#f", sort_query=True, strip_www=True)
+    @example(url="http://www./x", sort_query=False, strip_www=True)
+    @example(url="http:a.com/x", sort_query=False, strip_www=False)
     def test_matches_urlsplit_reference(self, url, sort_query, strip_www):
         options = {"sort_query": sort_query, "strip_www": strip_www}
         expected = _outcome(_reference_canonicalize, url, **options)
@@ -357,6 +375,23 @@ class TestRedirectCache:
         loaded = RedirectCache.from_file(path)
         assert loaded.get("http://a.example.com/x") == "http://b.example.com/y"
         assert len(loaded) == 2
+
+    @pytest.mark.parametrize("char", ["\u2028", "\x85", "\x0b", "\x1c"])
+    def test_round_trip_keeps_unicode_line_breaks_in_urls(self, tmp_path, char):
+        source, target = f"http://a.com/x{char}y", f"http://b.com/{char}"
+        cache = RedirectCache()
+        cache.put(source, target)
+        path = tmp_path / "redirects.tsv"
+        cache.save(path)
+        loaded = RedirectCache.from_file(path)
+        assert len(loaded) == 1
+        assert loaded.get(canonicalize(source)) == canonicalize(target)
+
+    def test_lines_end_at_cr_and_crlf(self, tmp_path):
+        path = tmp_path / "redirects.tsv"
+        path.write_bytes(b"http://a.com/\thttp://b.com/\r\nhttp://c.com/\thttp://d.com/\rbroken\n")
+        with pytest.raises(DatasetError, match=r"redirects\.tsv:3: .*'broken'"):
+            RedirectCache.from_file(path)
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "bad.tsv"
