@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NoReturn
+from typing import Any, Callable, Iterable, Mapping
 
 from .combined import (
     PenaltyComponents, combined_similarity, penalty_components, score_from_components,
@@ -118,20 +118,13 @@ def _earliest_dates(dataset: SerpDataset, engine: str) -> dict[str, dt.date]:
     return earliest
 
 
-def _raise_in_cell(exc: ValidationError, cell: str) -> NoReturn:
-    """Re-raise a scoring error with the cell it came from named in front."""
-    raise ValidationError(f"{cell}: {exc}") from exc
-
-
-def _shared_cells(
-    dataset: SerpDataset, engine_a: str, engine_b: str
-) -> tuple[tuple[dt.date, ...], tuple[str, ...], list[tuple[int, int, RankedList, RankedList]]]:
-    """The date and query axes of an engine pair, and the cells both engines have.
-
-    Axes are the sorted unions of each engine's dates and queries. Each
-    cell is ``(row, col, list_a, list_b)``, in query-major order, so the
-    cells of one query are adjacent.
-    """
+def _grid(
+    dataset: SerpDataset, engine_a: str, engine_b: str, measure: Callable[..., Any]
+) -> tuple[tuple[dt.date, ...], tuple[str, ...], list[tuple[int, int, Any]]]:
+    """An engine pair's date and query axes (the sorted unions of each engine's) and
+    ``(row, col, measure(list_a, list_b))`` for each cell both engines have, walked in
+    query-major order, so the cells of one query are adjacent. A ``ValidationError``
+    from ``measure`` is raised again with the cell named in front."""
     _require_engines(dataset, engine_a, engine_b)
     days = tuple(sorted(set(dataset.dates(engine_a)) | set(dataset.dates(engine_b))))
     queries = tuple(sorted(set(dataset.queries(engine_a)) | set(dataset.queries(engine_b))))
@@ -141,7 +134,11 @@ def _shared_cells(
             list_a = dataset.get(engine_a, query, day)
             list_b = dataset.get(engine_b, query, day)
             if list_a is not None and list_b is not None:
-                cells.append((i, j, list_a, list_b))
+                try:
+                    cells.append((i, j, measure(list_a, list_b)))
+                except ValidationError as exc:
+                    cell = f"{engine_a} vs {engine_b}, query {query!r}, {day}"
+                    raise ValidationError(f"{cell}: {exc}") from exc
     return days, queries, cells
 
 
@@ -151,27 +148,24 @@ def _pair_components(
     engine_b: str,
     stopwords: frozenset[str] | None,
 ) -> PairComponents:
-    """``_shared_cells`` with each cell's ``PenaltyComponents``, cached on the dataset.
+    """``_grid`` of each cell's ``PenaltyComponents``, cached on the dataset.
 
     The first call for a ``(engine_a, engine_b, stopwords)`` key measures
     every cell, sharing one content memo among the cells of each query
-    and dropping it at the next, so memory stays bounded by one query's
+    and clearing it at the next, so memory stays bounded by one query's
     texts. Later calls return the stored ``(days, queries, cells)``.
     """
     key = (engine_a, engine_b, stopwords)
     cached = dataset._components.get(key)
     if cached is None:
-        days, queries, pairs = _shared_cells(dataset, engine_a, engine_b)
-        cells = []
-        memo_col = None
-        try:
-            for i, j, list_a, list_b in pairs:
-                if j != memo_col:
-                    memo, memo_col = {}, j
-                cells.append((i, j, penalty_components(list_a, list_b, stopwords, memo=memo)))
-        except ValidationError as exc:
-            _raise_in_cell(exc, f"{engine_a} vs {engine_b}, query {list_a.query!r}, {list_a.date}")
-        cached = dataset._components[key] = (days, queries, cells)
+        memo = {}
+
+        def measure(list_a: RankedList, list_b: RankedList) -> PenaltyComponents:
+            if (list_a.query, stopwords) not in memo:
+                memo.clear()
+            return penalty_components(list_a, list_b, stopwords, memo=memo)
+
+        cached = dataset._components[key] = _grid(dataset, engine_a, engine_b, measure)
     return cached
 
 
@@ -197,13 +191,7 @@ def similarity_matrix(
         days, queries, measured = _pair_components(dataset, engine_a, engine_b, stopwords)
         cells = [(i, j, score_from_components(comp, cfg).score) for i, j, comp in measured]
     else:
-        days, queries, pairs = _shared_cells(dataset, engine_a, engine_b)
-        cells = []
-        try:
-            for i, j, list_a, list_b in pairs:
-                cells.append((i, j, metric_fn(list_a, list_b)))
-        except ValidationError as exc:
-            _raise_in_cell(exc, f"{engine_a} vs {engine_b}, query {list_a.query!r}, {list_a.date}")
+        days, queries, cells = _grid(dataset, engine_a, engine_b, metric_fn)
 
     grid: list[list[float | None]] = [[None] * len(queries) for _ in days]
     for i, j, value in cells:
@@ -377,5 +365,6 @@ def cross_period_drift(
                 )
             scores[query] = combined_similarity(list_old, list_new, cfg, stopwords).score
     except ValidationError as exc:
-        _raise_in_cell(exc, f"{engine}, query {query!r}, {old_date} vs {new_date}")
+        cell = f"{engine}, query {query!r}, {old_date} vs {new_date}"
+        raise ValidationError(f"{cell}: {exc}") from exc
     return scores

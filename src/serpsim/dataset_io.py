@@ -27,14 +27,9 @@ from typing import Any, Callable, Iterator, Mapping
 from .analysis import SerpDataset
 from .errors import DatasetError, SerpSimError, ValidationError
 from .model import RankedList, SearchResult, SimilarityMatrix, validate_ranked_list
-from .urlnorm import RedirectCache, canonicalize, resolve_redirects
+from .urlnorm import _LINE_END, RedirectCache, canonicalize, resolve_redirects
 
 _MATRIX_PAIR_PREFIX = "# pair"
-
-#: Each list's key -> (line of its first row, its results in input order).
-_Groups = dict[tuple[str, str, dt.date], tuple[int, list[SearchResult]]]
-#: Each query -> (its category, the line that first gave it).
-_Categories = dict[str, tuple[str, int]]
 
 
 def _require(obj: Mapping[str, Any], key: str, kind: type, path: str, lineno: int) -> Any:
@@ -85,69 +80,79 @@ def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
             yield lineno, obj
 
 
-def _result(
-    url: str, title: str, snippet: str, rank: int, normalize: bool,
-    redirect_cache: RedirectCache | None, resolved: dict[str, str], strings: dict[str, str],
-    built: dict[tuple[str, str, str, int], SearchResult], path: str, lineno: int,
-) -> SearchResult:
-    """The result of one row whose fields the loader has checked, normalizing its
-    URL if asked or if a redirect cache is given. ``resolved`` maps each raw URL
-    the load has normalized to its result; a URL that raises is not stored, so
-    each of its lines reports the error. ``strings`` maps each URL, title and
-    snippet text the load has kept to its one stored copy, so equal texts of
-    different results are one object. ``built`` maps each (final URL, title,
-    snippet, rank) to the one result the load has built for it; results are
-    frozen, so equal results share it. A rank is an int here, so a key equals a
-    stored one only if the row would pass the result's own checks."""
-    try:
-        if redirect_cache is not None or normalize:
-            final = resolved.get(url)
-            if final is None:
-                if redirect_cache is not None:
-                    final = resolve_redirects(url, redirect_cache, "offline")
-                else:
-                    final = canonicalize(url)
-                final = resolved[url] = strings.setdefault(final, final)
-            url = final
-        else:
-            url = strings.setdefault(url, url)
-        title = strings.setdefault(title, title)
-        snippet = strings.setdefault(snippet, snippet)
-        key = (url, title, snippet, rank)
-        result = built.get(key)
-        if result is None:
-            result = built[key] = SearchResult(url=url, title=title, snippet=snippet, rank=rank)
-        return result
-    except SerpSimError as exc:
-        raise DatasetError(str(exc), path, lineno) from exc
+class _Load:
+    """The settings and tables of one ``load_dataset`` or ``import_dataset`` call.
+    ``groups``: list key -> (line of its first row, results in input order).
+    ``categories``: query -> (its category, the line that first gave it).
+    ``resolved``: raw URL -> final URL; a URL that raised is not stored, so each
+    of its lines reports the error. ``strings``: each kept text -> its one copy.
+    ``built``: (final URL, title, snippet, rank) -> the one result built for it."""
 
+    def __init__(
+        self, path: Path, normalize: bool, redirect_cache: RedirectCache | None,
+        strict: bool, expected_n: int | None,
+    ):
+        if expected_n is not None and expected_n < 1:
+            raise ValidationError(f"expected_n must be >= 1, got {expected_n}")
+        self.path = str(path)
+        self.redirect_cache = redirect_cache
+        self.normalize = normalize or redirect_cache is not None
+        self.strict = strict
+        self.depth = expected_n  # None: set by the loader, or each list's own length
+        self.groups: dict[tuple[str, str, dt.date], tuple[int, list[SearchResult]]] = {}
+        self.categories: dict[str, tuple[str, int]] = {}
+        self.resolved: dict[str, str] = {}
+        self.strings: dict[str, str] = {}
+        self.built: dict[tuple[str, str, str, int], SearchResult] = {}
 
-def _add_category(
-    categories: _Categories, query: str, category: str, path: str, lineno: int
-) -> None:
-    """Record ``query``'s category; DatasetError if an earlier line gave another."""
-    known = categories.get(query)
-    if known is None:
-        categories[query] = (category, lineno)
-    elif known[0] != category:
-        problem = f"query {query!r} has category {category!r}, but line {known[1]} gave"
-        raise DatasetError(f"{problem} {known[0]!r}", path, lineno)
-
-
-def _assemble(
-    groups: _Groups, categories: dict[str, str], depth: int | None, strict: bool, path: str
-) -> SerpDataset:
-    """Dedup, truncate (None: each list's own length) and re-rank every group."""
-    records: dict[tuple[str, str, dt.date], RankedList] = {}
-    for (engine, query, date), (lineno, results) in groups.items():
-        n = len(results) if depth is None else depth
+    def result(self, url: str, title: str, snippet: str, rank: int, lineno: int) -> SearchResult:
+        """A checked row's result, its URL normalized if asked. The rank is an int, so
+        a ``built`` key equals a stored one only if the row passes the result's checks."""
+        strings, built = self.strings, self.built
         try:
-            records[(engine, query, date)] = validate_ranked_list(
-                results, n, engine=engine, query=query, date=date, strict=strict
-            )
-        except ValidationError as exc:
-            raise DatasetError(str(exc), path, lineno) from exc
-    return SerpDataset(records, categories)
+            if self.normalize:
+                final = self.resolved.get(url)
+                if final is None:
+                    if self.redirect_cache is not None:
+                        final = resolve_redirects(url, self.redirect_cache, "offline")
+                    else:
+                        final = canonicalize(url)
+                    final = self.resolved[url] = strings.setdefault(final, final)
+                url = final
+            else:
+                url = strings.setdefault(url, url)
+            title = strings.setdefault(title, title)
+            snippet = strings.setdefault(snippet, snippet)
+            key = (url, title, snippet, rank)
+            result = built.get(key)
+            if result is None:
+                result = built[key] = SearchResult(url, title, snippet, rank)
+            return result
+        except SerpSimError as exc:
+            raise DatasetError(str(exc), self.path, lineno) from exc
+
+    def category(self, query: str, category: str, lineno: int) -> None:
+        """Record ``query``'s category; DatasetError if an earlier line gave another."""
+        known = self.categories.get(query)
+        if known is None:
+            self.categories[query] = (category, lineno)
+        elif known[0] != category:
+            problem = f"query {query!r} has category {category!r}, but line {known[1]} gave"
+            raise DatasetError(f"{problem} {known[0]!r}", self.path, lineno)
+
+    def dataset(self) -> SerpDataset:
+        """Dedup, truncate to ``depth`` (None: each list's own length) and re-rank."""
+        records: dict[tuple[str, str, dt.date], RankedList] = {}
+        for (engine, query, date), (lineno, results) in self.groups.items():
+            n = len(results) if self.depth is None else self.depth
+            try:
+                records[(engine, query, date)] = validate_ranked_list(
+                    results, n, engine=engine, query=query, date=date, strict=self.strict
+                )
+            except ValidationError as exc:
+                raise DatasetError(str(exc), self.path, lineno) from exc
+        labels = {query: category for query, (category, _) in self.categories.items()}
+        return SerpDataset(records, labels)
 
 
 def load_dataset(
@@ -167,12 +172,8 @@ def load_dataset(
     compare at equal length. Errors name the file and line.
     """
     path = Path(path)
-    where = str(path)
-    groups: _Groups = {}
-    categories: _Categories = {}
-    resolved: dict[str, str] = {}
-    strings: dict[str, str] = {}
-    built: dict[tuple[str, str, str, int], SearchResult] = {}
+    load = _Load(path, normalize, redirect_cache, strict, expected_n)
+    where, groups = load.path, load.groups
     for lineno, obj in _rows(path):
         engine = _require(obj, "engine", str, where, lineno)
         query = _require(obj, "query", str, where, lineno)
@@ -194,12 +195,7 @@ def load_dataset(
             snippet = item.get("snippet", "")
             if type(title) is not str or type(snippet) is not str:
                 raise DatasetError("title and snippet must be strings", where, lineno)
-            results.append(
-                _result(
-                    url, title, snippet, rank, normalize, redirect_cache, resolved, strings,
-                    built, where, lineno,
-                )
-            )
+            results.append(load.result(url, title, snippet, rank, lineno))
         if (engine, query, date) in groups:
             raise DatasetError(
                 f"duplicate record for engine={engine!r} query={query!r} date={date}",
@@ -211,14 +207,13 @@ def load_dataset(
         if category is not None:
             if not isinstance(category, str):
                 raise DatasetError("field 'category' must be a string", where, lineno)
-            _add_category(categories, query, category, where, lineno)
+            load.category(query, category, lineno)
 
     if not groups:
         raise DatasetError("dataset contains no records", where)
-    if expected_n is None:
-        expected_n = min(len({r.url for r in results}) for _, results in groups.values())
-    labels = {query: category for query, (category, _) in categories.items()}
-    return _assemble(groups, labels, expected_n, strict, where)
+    if load.depth is None:
+        load.depth = min(len({r.url for r in results}) for _, results in groups.values())
+    return load.dataset()
 
 
 class _Encoded(dict):
@@ -259,7 +254,11 @@ def write_dataset(dataset: SerpDataset, path: str | Path) -> None:
 
 
 def format_matrix(matrix: SimilarityMatrix) -> str:
-    """Render a matrix as deterministic TSV text."""
+    """Render a matrix as deterministic TSV text; ValidationError for a name it can't hold."""
+    for kind, names in (("engine", matrix.engine_pair), ("query", matrix.queries)):
+        for name in names:
+            if "\t" in name or "\r" in name or "\n" in name:
+                raise ValidationError(f"matrix {kind} {name!r} holds a tab or line break")
     buf = io.StringIO()
     buf.write(f"{_MATRIX_PAIR_PREFIX}\t{matrix.engine_pair[0]}\t{matrix.engine_pair[1]}\n")
     buf.write("date\t" + "\t".join(matrix.queries) + "\n")
@@ -274,8 +273,10 @@ def write_matrix(matrix: SimilarityMatrix, path: str | Path) -> None:
 
 
 def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
-    """Parse matrix TSV text produced by :func:`format_matrix`."""
-    lines = text.splitlines()
+    """Parse :func:`format_matrix` text; only ``\\n``, ``\\r`` and ``\\r\\n`` end a line."""
+    lines = _LINE_END.split(text)
+    if not lines[-1]:
+        del lines[-1]
     if not lines or not lines[0].startswith(_MATRIX_PAIR_PREFIX + "\t"):
         raise DatasetError(f"missing '{_MATRIX_PAIR_PREFIX}' header line", source, 1)
     pair_fields = lines[0].split("\t")
@@ -328,20 +329,25 @@ _REQUIRED_FIELDS = ("engine", "query", "date", "rank", "url")
 _MAPPED_FIELDS = _REQUIRED_FIELDS + ("title", "snippet", "category")
 
 
-def _reader(spec: Any, field: str, path: str) -> Callable[[Mapping[str, Any], int], Any]:
+def _reader(
+    spec: Any, field: str, path: str, text: bool = False
+) -> Callable[[Mapping[str, Any], int], Any]:
     """A function of ``(row, lineno)`` that reads one field from a row, built once
     from its mapping spec, which ``import_dataset`` has checked: a source key, or
-    {"const": value}."""
+    {"const": value}. A ``text`` field that is not a str goes through ``_text``."""
     if isinstance(spec, dict):
         value = spec["const"]
+        if text and type(value) is not str:
+            return lambda row, lineno: _text(value, field, path, lineno)
         return lambda row, lineno: value
 
     def read(row: Mapping[str, Any], lineno: int) -> Any:
         try:
-            return row[spec]
+            value = row[spec]
         except KeyError:
             problem = f"source field {spec!r} (for {field!r}) not found"
             raise DatasetError(problem, path, lineno) from None
+        return value if not text or type(value) is str else _text(value, field, path, lineno)
 
     return read
 
@@ -399,29 +405,24 @@ def import_dataset(
         )
 
     path = Path(path)
-    where = str(path)
-    read_engine, read_query, read_date, read_rank, read_url = (
-        _reader(mapping[field], field, where) for field in _REQUIRED_FIELDS
+    load = _Load(path, normalize, redirect_cache, strict, expected_n)
+    where, groups = load.path, load.groups
+    read_date, read_rank, read_url = (
+        _reader(mapping[field], field, where) for field in ("date", "rank", "url")
     )
-    read_title, read_snippet = (
-        _reader(mapping.get(field, {"const": ""}), field, where) for field in ("title", "snippet")
+    read_engine, read_query, read_title, read_snippet = (
+        _reader(mapping.get(field, {"const": ""}), field, where, text=True)
+        for field in ("engine", "query", "title", "snippet")
     )
     category_spec = mapping.get("category")
-    read_category = None if category_spec is None else _reader(category_spec, "category", where)
+    read_category = (
+        None if category_spec is None else _reader(category_spec, "category", where, text=True)
+    )
 
-    groups: _Groups = {}
-    categories: _Categories = {}
-    resolved: dict[str, str] = {}
-    strings: dict[str, str] = {}
-    built: dict[tuple[str, str, str, int], SearchResult] = {}
     dates: dict[str, dt.date] = {}  # each date text parsed so far; a bad one is not stored
     for lineno, obj in _rows(path):
         engine = read_engine(obj, lineno)
-        if type(engine) is not str:
-            engine = _text(engine, "engine", where, lineno)
         query = read_query(obj, lineno)
-        if type(query) is not str:
-            query = _text(query, "query", where, lineno)
         raw_date = read_date(obj, lineno)
         date_text = str(raw_date)
         date = dates.get(date_text)
@@ -446,20 +447,10 @@ def import_dataset(
         if not isinstance(url, str):
             raise DatasetError(f"field 'url' must be str, got {type(url).__name__}", where, lineno)
         title = read_title(obj, lineno)
-        if type(title) is not str:
-            title = _text(title, "title", where, lineno)
         snippet = read_snippet(obj, lineno)
-        if type(snippet) is not str:
-            snippet = _text(snippet, "snippet", where, lineno)
         if read_category is not None:
-            category = read_category(obj, lineno)
-            if type(category) is not str:
-                category = _text(category, "category", where, lineno)
-            _add_category(categories, query, category, where, lineno)
-        result = _result(
-            url, title, snippet, rank, normalize, redirect_cache, resolved, strings, built,
-            where, lineno,
-        )
+            load.category(query, read_category(obj, lineno), lineno)
+        result = load.result(url, title, snippet, rank, lineno)
         key = (engine, query, date)
         group = groups.get(key)
         if group is None:
@@ -468,5 +459,4 @@ def import_dataset(
 
     if not groups:
         raise DatasetError("no records to import", where)
-    labels = {query: category for query, (category, _) in categories.items()}
-    return _assemble(groups, labels, expected_n, strict, where)
+    return load.dataset()

@@ -309,6 +309,38 @@ class TestComponentCacheKey:
         assert footrule.cell(D1, "beta query") == 0.0
 
 
+@pytest.fixture
+def memo_keys(monkeypatch) -> list:
+    """Per ``penalty_components`` call made by ``analysis``: the cell's
+    ``(query, stopwords)`` and the keys its memo held when called."""
+    calls = []
+    original = analysis.penalty_components
+
+    def recording(list_a, list_b, stopwords=None, **kwargs):
+        calls.append(((list_a.query, stopwords), set(kwargs["memo"])))
+        return original(list_a, list_b, stopwords, **kwargs)
+
+    monkeypatch.setattr(analysis, "penalty_components", recording)
+    return calls
+
+
+class TestContentMemoBound:
+    def test_memo_holds_the_current_query_only(self, memo_keys):
+        dataset = SerpDataset.from_lists(
+            make_list(keys, engine=engine, query=query, date=day)
+            for engine, keys in (("x", "abc"), ("y", "cab"))
+            for query in QUERIES
+            for day in (D1, D2, D3)
+        )
+        for stopwords in (None, frozenset({"word"})):
+            similarity_matrix(dataset, "x", "y", stopwords=stopwords)
+            impact_sweep(dataset, "y", "x", "title", stopwords=stopwords)
+        assert len(memo_keys) == 2 * 2 * len(QUERIES) * 3
+        assert all(held <= {key} for key, held in memo_keys)
+        # every cell after a query's first shares that query's memo
+        assert sum(held == {key} for key, held in memo_keys) == 2 * 2 * len(QUERIES) * 2
+
+
 class TestConsistencySeries:
     def test_per_day_means(self, grid_dataset):
         matrix = similarity_matrix(grid_dataset, "x", "y", UNIT)

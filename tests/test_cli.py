@@ -202,6 +202,19 @@ class TestArgHandling:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "{pair_a}", "{pair_b}"],
+        ["matrix", "--dataset", "{sample}", "--engine-a", "acme", "--engine-b", "bravo"],
+        ["import", "--input", "{alien}", "--mapping", "{mapping}"],
+    ], ids=["compare", "matrix", "import"])
+    def test_top_n_below_one_exits_two_naming_no_line(self, command, data_dir, capsys):
+        paths = {"pair_a": data_dir / "pair_a.jsonl", "pair_b": data_dir / "pair_b_same.jsonl",
+                 "sample": data_dir / "sample.jsonl", "alien": data_dir / "alien.jsonl",
+                 "mapping": data_dir / "alien_mapping.json"}
+        argv = [token.format(**paths) for token in command]
+        assert run_cli([*argv, "--top-n", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: expected_n must be >= 1, got 0\n")
+
 
 #: Invocations with a flag the subcommand does not take, or one its chosen input
 #: mode cannot use. Tokens are formatted with the paths of ``test_unread_flag_exits_one``.

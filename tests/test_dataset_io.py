@@ -149,6 +149,18 @@ class TestLoadDataset:
         assert ds.get("e1", "sample query", D1).n == 3
         assert ds.get("e2", "sample query", D1).n == 2
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_rejected_before_any_line(self, tmp_path, depth):
+        path = write_jsonl(tmp_path, record_line())
+        mapping = {"engine": "engine", "query": "query", "date": "date", "rank": "p", "url": "u"}
+        for load in (
+            lambda: load_dataset(path, expected_n=depth),
+            lambda: import_dataset(path, mapping, expected_n=depth),
+        ):
+            with pytest.raises(ValidationError) as info:
+                load()
+            assert str(info.value) == f"expected_n must be >= 1, got {depth}"
+
     def test_strict_depth_enforced(self, tmp_path):
         path = write_jsonl(
             tmp_path,
@@ -362,6 +374,29 @@ class TestMatrixIO:
         with pytest.raises(DatasetError, match="cell"):
             parse_matrix(text)
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u0085", "\x0b", "\x0c", "\x1c"])
+    def test_round_trip_keeps_names_with_other_line_breaks(self, char):
+        matrix = SimilarityMatrix(
+            engine_pair=(f"x{char}", "y"),
+            days=(D1,),
+            queries=(f"a{char}b", "c"),
+            values=((0.25, None),),
+        )
+        assert parse_matrix(format_matrix(matrix)) == matrix
+
+    @pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+    def test_name_with_tab_or_line_end_refused(self, char):
+        query = SimilarityMatrix(
+            engine_pair=("x", "y"), days=(D1,), queries=(f"a{char}b",), values=((0.5,),)
+        )
+        with pytest.raises(ValidationError, match=r"^matrix query 'a\\[trn]b' holds a tab"):
+            format_matrix(query)
+        engine = SimilarityMatrix(
+            engine_pair=("x", f"y{char}"), days=(D1,), queries=("a",), values=((0.5,),)
+        )
+        with pytest.raises(ValidationError, match=r"^matrix engine 'y\\[trn]' holds a tab"):
+            format_matrix(engine)
+
     @pytest.mark.parametrize("day", ["20190701", "2019-W27-1"], ids=["basic", "week"])
     def test_date_must_be_yyyy_mm_dd(self, day):
         text = f"# pair\tx\ty\ndate\talpha\n2019-07-01\t0.5\n{day}\t0.5\n"
@@ -552,8 +587,8 @@ def _reference_import_rows(path, mapping):
     )
     title_spec, snippet_spec, category_spec = map(mapping.get, ("title", "snippet", "category"))
     date_format = mapping.get("date_format")
-    where = str(path)
-    groups, categories, first_lines, resolved, strings, dates = {}, {}, {}, {}, {}, {}
+    load = dataset_io._Load(path, False, None, False, None)
+    where, groups, dates = load.path, load.groups, {}
     for lineno, obj in dataset_io._rows(path):
         engine = _reference_mapped_text(obj, engine_spec, "engine", where, lineno)
         query = _reference_mapped_text(obj, query_spec, "query", where, lineno)
@@ -586,18 +621,15 @@ def _reference_import_rows(path, mapping):
             snippet = _reference_mapped_text(obj, snippet_spec, "snippet", where, lineno)
         if category_spec is not None:
             category = _reference_mapped_text(obj, category_spec, "category", where, lineno)
-            known = categories.setdefault(query, category)
-            first = first_lines.setdefault(query, lineno)
+            known, first = load.categories.setdefault(query, (category, lineno))
             if known != category:
                 problem = f"query {query!r} has category {category!r}, but line {first} gave"
                 raise DatasetError(f"{problem} {known!r}", where, lineno)
-        result = dataset_io._result(
-            url, title, snippet, rank, False, None, resolved, strings, {}, where, lineno
-        )
+        result = load.result(url, title, snippet, rank, lineno)
         groups.setdefault((engine, query, date), (lineno, []))[1].append(result)
     if not groups:
         raise DatasetError("no records to import", where)
-    return dataset_io._assemble(groups, categories, None, False, where)
+    return load.dataset()
 
 
 _NAN = float("nan")

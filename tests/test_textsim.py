@@ -208,3 +208,8 @@ class TestStopwords:
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nFoo\n\nbar\n", encoding="utf-8")
         assert load_stopwords(path) == frozenset({"foo", "bar"})
+
+    def test_only_cr_and_lf_end_a_line(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("foo\u2028bar\rbaz\x1cqux\r\nend\x85word\n", encoding="utf-8", newline="")
+        assert load_stopwords(path) == frozenset({"foo\u2028bar", "baz\x1cqux", "end\x85word"})
