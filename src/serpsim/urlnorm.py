@@ -13,9 +13,7 @@ import ipaddress
 import re
 import string
 import unicodedata
-import urllib.error
 import urllib.parse
-import urllib.request
 from pathlib import Path
 from typing import Callable, Literal
 
@@ -269,32 +267,32 @@ class RedirectCache:
         Path(path).write_text("".join(lines), encoding="utf-8")
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    def redirect_request(self, *args, **kwargs):  # noqa: D102 - stdlib override
-        return None
-
-
-_opener = urllib.request.build_opener(_NoRedirect)
-
-
-def _probe(url: str, method: str, timeout: float) -> tuple[int, str | None]:
-    request = urllib.request.Request(url, method=method)
-    try:
-        with _opener.open(request, timeout=timeout) as response:
-            return response.status, response.headers.get("Location")
-    except urllib.error.HTTPError as exc:
-        location = exc.headers.get("Location") if exc.headers else None
-        return exc.code, location
-
-
 def default_fetch(url: str, timeout: float = 10.0) -> tuple[int, str | None]:
-    """HEAD the URL (GET on 405) and report (status, Location header)."""
+    """HEAD the URL (GET on 405) and report (status, Location header).
+
+    The HTTP stack is imported here, on the first fetch, so that offline
+    commands never load it."""
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args, **kwargs):  # noqa: D102 - stdlib override
+            return None
+
+    opener = urllib.request.build_opener(NoRedirect)
     try:
-        status, location = _probe(url, "HEAD", timeout)
-        if status == 405:
-            status, location = _probe(url, "GET", timeout)
+        for method in ("HEAD", "GET"):
+            request = urllib.request.Request(url, method=method)
+            try:
+                with opener.open(request, timeout=timeout) as response:
+                    status, location = response.status, response.headers.get("Location")
+            except urllib.error.HTTPError as exc:
+                status, location = exc.code, exc.headers.get("Location") if exc.headers else None
+            if status != 405:
+                break
         return status, location
-    except (urllib.error.URLError, OSError, ValueError) as exc:
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise RedirectError(f"network failure fetching {url}: {exc}") from exc
 
 

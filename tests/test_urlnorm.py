@@ -1,5 +1,7 @@
+import http.server
 import ipaddress
 import re
+import threading
 import urllib.parse
 
 import pytest
@@ -19,6 +21,7 @@ from serpsim.urlnorm import (
     _normalize_percent,
     _remove_dot_segments,
     _split_netloc,
+    default_fetch,
 )
 
 
@@ -489,3 +492,78 @@ class TestResolveOnline:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             resolve_redirects("http://x.example.com/a", RedirectCache(), "sideways")
+
+
+class _Handler(http.server.BaseHTTPRequestHandler):
+    """Answers each (method, path) from ``server.routes``: a (status, Location)
+    pair, or raw bytes written as they are."""
+
+    def do_HEAD(self):
+        self.server.seen.append((self.command, self.path))
+        reply = self.server.routes[self.command, self.path]
+        if isinstance(reply, bytes):
+            self.wfile.write(reply)
+            return
+        status, location = reply
+        self.send_response(status)
+        if location:
+            self.send_header("Location", location)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    do_GET = do_HEAD
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def server():
+    """A loopback HTTP server on a free port; fill its ``routes`` before fetching."""
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.routes, server.seen = {}, []
+    server.base = f"http://127.0.0.1:{server.server_port}"
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+class TestDefaultFetch:
+    def test_redirect_reported_not_followed(self, server):
+        server.routes = {("HEAD", "/a"): (301, "/b")}
+        assert default_fetch(server.base + "/a") == (301, "/b")
+        assert server.seen == [("HEAD", "/a")]
+
+    def test_head_405_retried_once_with_get(self, server):
+        server.routes = {("HEAD", "/a"): (405, None), ("GET", "/a"): (302, "/z")}
+        assert default_fetch(server.base + "/a") == (302, "/z")
+        assert server.seen == [("HEAD", "/a"), ("GET", "/a")]
+
+    def test_resolve_online_follows_chain_and_fills_cache(self, server):
+        server.routes = {
+            ("HEAD", "/a"): (301, "/b"),
+            ("HEAD", "/b"): (302, server.base + "/c"),
+            ("HEAD", "/c"): (200, None),
+        }
+        cache = RedirectCache()
+        final = resolve_redirects(server.base + "/a", cache, "online")
+        assert final == server.base + "/c"
+        assert [path for _, path in server.seen] == ["/a", "/b", "/c"]
+        assert resolve_redirects(server.base + "/a", cache) == final
+        assert resolve_redirects(server.base + "/b", cache) == final
+
+    def test_bad_status_line_is_redirect_error(self, server):
+        server.routes = {("HEAD", "/a"): b"HELLO WORLD\r\n\r\n"}
+        with pytest.raises(RedirectError, match="network failure fetching"):
+            default_fetch(server.base + "/a")
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:1/", "nosuchscheme://x.example.com/"])
+    def test_failure_is_redirect_error(self, url):
+        with pytest.raises(RedirectError, match="network failure fetching"):
+            default_fetch(url)
