@@ -118,27 +118,33 @@ def _earliest_dates(dataset: SerpDataset, engine: str) -> dict[str, dt.date]:
     return earliest
 
 
+def _measured(who: str, query: str, dates: tuple, measure: Callable[..., Any], *args: Any) -> Any:
+    """``measure(*args)`` for one cell; a ValidationError from it is raised again with
+    the cell, ``who, query 'q', date`` (two dates joined by " vs "), named in front."""
+    try:
+        return measure(*args)
+    except ValidationError as exc:
+        cell = f"{who}, query {query!r}, {' vs '.join(map(str, dates))}"
+        raise ValidationError(f"{cell}: {exc}") from exc
+
+
 def _grid(
     dataset: SerpDataset, engine_a: str, engine_b: str, measure: Callable[..., Any]
 ) -> tuple[tuple[dt.date, ...], tuple[str, ...], list[tuple[int, int, Any]]]:
     """An engine pair's date and query axes (the sorted unions of each engine's) and
-    ``(row, col, measure(list_a, list_b))`` for each cell both engines have, walked in
-    query-major order, so the cells of one query are adjacent. A ``ValidationError``
-    from ``measure`` is raised again with the cell named in front."""
+    ``(row, col, measure(list_a, list_b))`` for each cell both engines have, named by
+    ``_measured``, walked in query-major order, so the cells of one query are adjacent."""
     _require_engines(dataset, engine_a, engine_b)
     days = tuple(sorted(set(dataset.dates(engine_a)) | set(dataset.dates(engine_b))))
     queries = tuple(sorted(set(dataset.queries(engine_a)) | set(dataset.queries(engine_b))))
+    pair = f"{engine_a} vs {engine_b}"
     cells = []
     for j, query in enumerate(queries):
         for i, day in enumerate(days):
             list_a = dataset.get(engine_a, query, day)
             list_b = dataset.get(engine_b, query, day)
             if list_a is not None and list_b is not None:
-                try:
-                    cells.append((i, j, measure(list_a, list_b)))
-                except ValidationError as exc:
-                    cell = f"{engine_a} vs {engine_b}, query {query!r}, {day}"
-                    raise ValidationError(f"{cell}: {exc}") from exc
+                cells.append((i, j, _measured(pair, query, (day,), measure, list_a, list_b)))
     return days, queries, cells
 
 
@@ -352,19 +358,13 @@ def cross_period_drift(
         raise ValidationError(
             f"datasets share no queries for engine {engine!r}"
         )
-    scores: dict[str, float] = {}
-    try:
-        for query in shared:
-            old_date = date_old or first_old[query]
-            new_date = date_new or first_new[query]
-            list_old = dataset_old.get(engine, query, old_date)
-            list_new = dataset_new.get(engine, query, new_date)
-            if list_old is None or list_new is None:
-                raise ValidationError(
-                    f"no record for {engine}/{query} on the requested date"
-                )
-            scores[query] = combined_similarity(list_old, list_new, cfg, stopwords).score
-    except ValidationError as exc:
-        cell = f"{engine}, query {query!r}, {old_date} vs {new_date}"
-        raise ValidationError(f"{cell}: {exc}") from exc
-    return scores
+
+    def measure(query: str, old_date: dt.date, new_date: dt.date) -> float:
+        list_old = dataset_old.get(engine, query, old_date)
+        list_new = dataset_new.get(engine, query, new_date)
+        if list_old is None or list_new is None:
+            raise ValidationError(f"no record for {engine}/{query} on the requested date")
+        return combined_similarity(list_old, list_new, cfg, stopwords).score
+
+    dates = {q: (date_old or first_old[q], date_new or first_new[q]) for q in shared}
+    return {q: _measured(engine, q, dates[q], measure, q, *dates[q]) for q in shared}

@@ -148,12 +148,17 @@ def _loader_options(args: argparse.Namespace) -> dict:
     }
 
 
-def _single_record(path: str, loader_options: dict):
-    dataset = dataset_io.load_dataset(path, **loader_options)
-    keys = list(dataset)
-    if len(keys) != 1:
-        raise SerpSimError(f"{path}: expected exactly one record, found {len(keys)}")
-    return dataset.get(*keys[0])
+def _datasets(args: argparse.Namespace, *paths: str) -> list[analysis.SerpDataset]:
+    """Each path's dataset, all at one depth: ``--top-n``, else the shortest list in any
+    of them. If the files' own depths differ, all load again as under ``--top-n`` the least."""
+    options = _loader_options(args)
+    datasets = [dataset_io.load_dataset(path, **options) for path in paths]
+    if args.top_n is None and len(paths) > 1:
+        depths = {min(ranked.n for ranked in ds._records.values()) for ds in datasets}
+        if len(depths) > 1:
+            options["expected_n"] = min(depths)
+            datasets = [dataset_io.load_dataset(path, **options) for path in paths]
+    return datasets
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -174,15 +179,18 @@ def _cmd_compare(args: argparse.Namespace) -> str:
         ]
         if selectors:
             raise UsageError(f"compare FILE FILE cannot be combined with {', '.join(selectors)}")
-        options = _loader_options(args)
-        list_a, list_b = (_single_record(path, options) for path in args.files)
+        datasets = _datasets(args, *args.files)
+        for path, dataset in zip(args.files, datasets):
+            if len(dataset) != 1:
+                raise SerpSimError(f"{path}: expected exactly one record, found {len(dataset)}")
+        list_a, list_b = (dataset.get(*next(iter(dataset))) for dataset in datasets)
     else:
         if not (args.dataset and args.engine_a and args.engine_b and args.query and args.date):
             raise UsageError(
                 "compare needs either two record files or --dataset with "
                 "--engine-a, --engine-b, --query and --date"
             )
-        dataset = dataset_io.load_dataset(args.dataset, **_loader_options(args))
+        [dataset] = _datasets(args, args.dataset)
         date_b = args.date_b or args.date
         list_a = dataset.get(args.engine_a, args.query, args.date)
         list_b = dataset.get(args.engine_b, args.query, date_b)
@@ -209,7 +217,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
 
 
 def _matrix_from_args(args: argparse.Namespace) -> SimilarityMatrix:
-    dataset = dataset_io.load_dataset(args.dataset, **_loader_options(args))
+    [dataset] = _datasets(args, args.dataset)
     return analysis.similarity_matrix(
         dataset,
         args.engine_a,
@@ -245,7 +253,7 @@ def _matrix_or_file(args: argparse.Namespace) -> SimilarityMatrix:
 
 def _cmd_consistency(args: argparse.Namespace) -> str:
     matrix = _matrix_or_file(args)
-    lines = [f"# pair\t{matrix.engine_pair[0]}\t{matrix.engine_pair[1]}\n"]
+    lines = [dataset_io._tsv_line("matrix engine", "# pair", *matrix.engine_pair)]
     for day, value in analysis.consistency_series(matrix):
         cell = "NA" if value is None else _fmt(value)
         lines.append(f"{day.isoformat()}\t{cell}\n")
@@ -255,14 +263,14 @@ def _cmd_consistency(args: argparse.Namespace) -> str:
 def _cmd_summary(args: argparse.Namespace) -> str:
     matrix = _matrix_or_file(args)
     stats = analysis.pair_summary(matrix)
-    lines = [f"# pair\t{matrix.engine_pair[0]}\t{matrix.engine_pair[1]}\n"]
+    lines = [dataset_io._tsv_line("matrix engine", "# pair", *matrix.engine_pair)]
     for key in ("mean", "median", "min", "max"):
         lines.append(f"{key}\t{_fmt(stats[key])}\n")
     return "".join(lines)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    dataset = dataset_io.load_dataset(args.dataset, **_loader_options(args))
+    [dataset] = _datasets(args, args.dataset)
     report = analysis.impact_sweep(
         dataset,
         args.engine_a,
@@ -282,9 +290,7 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_drift(args: argparse.Namespace) -> str:
-    options = _loader_options(args)
-    dataset_old = dataset_io.load_dataset(args.old, **options)
-    dataset_new = dataset_io.load_dataset(args.new, **options)
+    dataset_old, dataset_new = _datasets(args, args.old, args.new)
     scores = analysis.cross_period_drift(
         dataset_old,
         dataset_new,
@@ -294,9 +300,9 @@ def _cmd_drift(args: argparse.Namespace) -> str:
         date_old=args.date_old,
         date_new=args.date_new,
     )
-    lines = [f"# engine\t{args.engine}\n"]
+    lines = [dataset_io._tsv_line("drift engine", "# engine", args.engine)]
     for query in sorted(scores):
-        lines.append(f"{query}\t{_fmt(scores[query])}\n")
+        lines.append(dataset_io._tsv_line("drift query", query, _fmt(scores[query])))
     lines.append(f"mean\t{_fmt(statistics.fmean(scores.values()))}\n")
     return "".join(lines)
 

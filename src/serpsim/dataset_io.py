@@ -253,15 +253,20 @@ def write_dataset(dataset: SerpDataset, path: str | Path) -> None:
     Path(path).write_text(dumps_dataset(dataset), encoding="utf-8", newline="\n")
 
 
+def _tsv_line(kind: str, *fields: str) -> str:
+    """``fields`` as one TSV line; ValidationError naming a ``kind`` field that holds a
+    tab or line break, which would split it."""
+    for name in fields:
+        if "\t" in name or "\r" in name or "\n" in name:
+            raise ValidationError(f"{kind} {name!r} holds a tab or line break")
+    return "\t".join(fields) + "\n"
+
+
 def format_matrix(matrix: SimilarityMatrix) -> str:
     """Render a matrix as deterministic TSV text; ValidationError for a name it can't hold."""
-    for kind, names in (("engine", matrix.engine_pair), ("query", matrix.queries)):
-        for name in names:
-            if "\t" in name or "\r" in name or "\n" in name:
-                raise ValidationError(f"matrix {kind} {name!r} holds a tab or line break")
     buf = io.StringIO()
-    buf.write(f"{_MATRIX_PAIR_PREFIX}\t{matrix.engine_pair[0]}\t{matrix.engine_pair[1]}\n")
-    buf.write("date\t" + "\t".join(matrix.queries) + "\n")
+    buf.write(_tsv_line("matrix engine", _MATRIX_PAIR_PREFIX, *matrix.engine_pair))
+    buf.write(_tsv_line("matrix query", "date", *matrix.queries))
     for day, row in zip(matrix.days, matrix.values):
         cells = ["NA" if v is None else f"{v:.4f}" for v in row]
         buf.write(day.isoformat() + "\t" + "\t".join(cells) + "\n")
@@ -289,8 +294,11 @@ def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
     if header[0] != "date":
         raise DatasetError("column header must start with 'date'", source, 2)
     queries = tuple(header[1:])
+    if len(set(queries)) != len(queries):
+        repeated = next(q for k, q in enumerate(queries) if q in queries[:k])
+        raise DatasetError(f"repeated query {repeated!r}", source, 2)
 
-    days: list[dt.date] = []
+    days: dict[dt.date, int] = {}  # each date -> its line
     values: list[tuple[float | None, ...]] = []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
@@ -300,7 +308,10 @@ def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
             raise DatasetError(
                 f"expected {len(queries) + 1} columns, got {len(fields)}", source, lineno
             )
-        days.append(_parse_date(fields[0], source, lineno))
+        day = _parse_date(fields[0], source, lineno)
+        if day in days:
+            raise DatasetError(f"repeated date {day}, first on line {days[day]}", source, lineno)
+        days[day] = lineno
         row: list[float | None] = []
         for cell in fields[1:]:
             if cell == "NA":

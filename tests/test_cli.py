@@ -21,7 +21,7 @@ from serpsim import (
     spearman_footrule_sim,
     write_dataset,
 )
-from serpsim import cli, urlnorm
+from serpsim import cli, dataset_io, urlnorm
 from serpsim.cli import run_cli
 from tests.conftest import make_list
 
@@ -666,3 +666,158 @@ class TestReadmeExamples:
             expected = expected[:-1]
             out = out[: len(expected)]
         assert out == expected
+
+
+def _sample_with(data_dir, tmp_path, name, edit=None):
+    """The sample dataset written to ``tmp_path / name``, after ``edit(records)``."""
+    records = [json.loads(line) for line in
+               (data_dir / "sample.jsonl").read_text(encoding="utf-8").splitlines()]
+    if edit is not None:
+        edit(records)
+    path = tmp_path / name
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return str(path)
+
+
+def _cut_first(engine, n):
+    """An edit that cuts ``engine``'s first list to its first ``n`` results."""
+    def edit(records):
+        first = next(r for r in records if r["engine"] == engine)
+        first["results"] = first["results"][:n]
+    return edit
+
+
+class TestOneDepthPerCommand:
+    """A command compares every list at one depth: ``--top-n``, else the depth of the
+    shortest list in any file it reads."""
+
+    @staticmethod
+    def run(argv, capsys):
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_drift_over_files_of_different_depth(self, data_dir, tmp_path, capsys):
+        # a cobalt list of 9 sets the new file's depth, though drift reads only acme
+        new = _sample_with(data_dir, tmp_path, "x.jsonl", _cut_first("cobalt", 9))
+        argv = ["drift", "--old", str(data_dir / "sample.jsonl"), "--new", new,
+                "--engine", "acme"]
+        default = self.run(argv, capsys)
+        assert default[0] == 0 and default[2] == ""
+        assert default == self.run(argv + ["--top-n", "9"], capsys)
+        assert self.run(argv + ["--top-n", "10"], capsys)[0] == 0
+
+    def test_pinned_drift_scores_at_the_shared_depth(self, data_dir, tmp_path, capsys):
+        new = _sample_with(data_dir, tmp_path, "x.jsonl", _cut_first("cobalt", 9))
+        argv = ["drift", "--old", str(data_dir / "sample.jsonl"), "--new", new,
+                "--engine", "acme", "--date-old", "2019-07-01", "--date-new", "2019-07-03"]
+        default = self.run(argv, capsys)
+        assert default[0] == 0
+        assert default == self.run(argv + ["--top-n", "9"], capsys)
+        assert default[1] != self.run(argv + ["--top-n", "10"], capsys)[1]
+
+    def test_drift_short_list_under_top_n_names_its_cell(self, data_dir, tmp_path, capsys):
+        new = _sample_with(data_dir, tmp_path, "x.jsonl", _cut_first("acme", 9))
+        argv = ["drift", "--old", str(data_dir / "sample.jsonl"), "--new", new,
+                "--engine", "acme"]
+        assert self.run(argv + ["--top-n", "10"], capsys) == (2, "", (
+            "error: acme, query 'climate change', 2019-07-01 vs 2019-07-01: "
+            "lists must be the same length, got 10 and 9\n"
+        ))
+        default = self.run(argv, capsys)
+        assert default[0] == 0
+        assert default == self.run(argv + ["--top-n", "9"], capsys)
+
+    @pytest.mark.parametrize("metric", ["combined", "jaro", "jarowinkler"])
+    def test_compare_files_of_different_depth(self, data_dir, tmp_path, capsys, metric):
+        records = [json.loads(line) for line in
+                   (data_dir / "sample.jsonl").read_text(encoding="utf-8").splitlines()]
+        first = records[0]
+        other = next(r for r in records if r["engine"] != first["engine"]
+                     and (r["query"], r["date"]) == (first["query"], first["date"]))
+        other["results"] = other["results"][:9]
+        paths = {}
+        for name, chosen in (("a", [first]), ("b", [other]), ("both", [first, other])):
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text("".join(json.dumps(r) + "\n" for r in chosen), "utf-8")
+        two_files = self.run(
+            ["compare", str(paths["a"]), str(paths["b"]), "--metric", metric], capsys
+        )
+        one_file = self.run(
+            ["compare", "--dataset", str(paths["both"]), "--engine-a", first["engine"],
+             "--engine-b", other["engine"], "--query", first["query"],
+             "--date", first["date"], "--metric", metric], capsys
+        )
+        assert two_files[0] == 0
+        assert two_files == one_file
+
+    def test_one_load_per_file(self, data_dir, monkeypatch, capsys):
+        loaded = []
+        load = dataset_io.load_dataset
+        monkeypatch.setattr(
+            dataset_io, "load_dataset", lambda path, **kw: loaded.append(path) or load(path, **kw)
+        )
+        sample = str(data_dir / "sample.jsonl")
+        pair = ["--engine-a", "acme", "--engine-b", "bravo"]
+        for argv, files in (
+            (["matrix", "--dataset", sample, *pair], 1),
+            (["sweep", "--dataset", sample, *pair, "--factor", "title"], 1),
+            (["compare", "--dataset", sample, *pair, "--query", "climate change",
+              "--date", "2019-07-01"], 1),
+            (["drift", "--old", sample, "--new", sample, "--engine", "acme"], 2),
+        ):
+            loaded.clear()
+            assert run_cli(argv) == 0
+            assert loaded == [sample] * files
+
+
+class TestTsvBreakingNames:
+    def test_drift_refuses_a_query_with_a_line_break(self, data_dir, tmp_path, capsys):
+        def rename(records):
+            for r in records:
+                if r["query"] == "climate change":
+                    r["query"] = "climate\nchange"
+        path = _sample_with(data_dir, tmp_path, "nl.jsonl", rename)
+        code = run_cli(["drift", "--old", path, "--new", path, "--engine", "acme"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: drift query 'climate\\nchange' holds a tab or line break\n"
+        )
+
+    def test_drift_refuses_an_engine_with_a_tab(self, data_dir, tmp_path, capsys):
+        def rename(records):
+            for r in records:
+                r["engine"] = r["engine"].replace("acme", "ac\tme")
+        path = _sample_with(data_dir, tmp_path, "tab.jsonl", rename)
+        code = run_cli(["drift", "--old", path, "--new", path, "--engine", "ac\tme"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: drift engine 'ac\\tme' holds a tab or line break\n"
+        )
+
+    @pytest.mark.parametrize("command", ["consistency", "summary"])
+    def test_pair_line_refuses_an_engine_with_a_line_break(
+        self, data_dir, tmp_path, capsys, command
+    ):
+        def rename(records):
+            for r in records:
+                r["engine"] = r["engine"].replace("bravo", "bra\rvo")
+        path = _sample_with(data_dir, tmp_path, "cr.jsonl", rename)
+        code = run_cli(
+            [command, "--dataset", path, "--engine-a", "acme", "--engine-b", "bra\rvo"]
+        )
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: matrix engine 'bra\\rvo' holds a tab or line break\n"
+        )
+
+
+@pytest.mark.parametrize("command", ["consistency", "summary"])
+def test_matrix_file_with_a_repeated_query_is_refused(tmp_path, capsys, command):
+    path = tmp_path / "dup.tsv"
+    path.write_text(
+        "# pair\tx\ty\ndate\tq1\tq1\n2019-07-01\t0.5000\t0.6000\n"
+        "2019-07-01\t0.7000\t0.8000\n", encoding="utf-8",
+    )
+    assert run_cli([command, "--matrix", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}:2: repeated query 'q1'\n")

@@ -403,6 +403,18 @@ class TestMatrixIO:
         with pytest.raises(DatasetError, match=rf"<string>:4: bad date '{day}'"):
             parse_matrix(text)
 
+    def test_repeated_query_refused_at_header(self):
+        text = "# pair\tx\ty\ndate\talpha\tbeta\talpha\n2019-07-01\t0.5\t0.5\t0.5\n"
+        with pytest.raises(DatasetError, match=r"^<string>:2: repeated query 'alpha'$"):
+            parse_matrix(text)
+
+    def test_repeated_date_refused_at_its_own_line(self):
+        text = "# pair\tx\ty\ndate\talpha\n2019-07-01\t0.5\n\n2019-07-02\t0.5\n2019-07-01\t0.6\n"
+        with pytest.raises(
+            DatasetError, match=r"^<string>:6: repeated date 2019-07-01, first on line 3$"
+        ):
+            parse_matrix(text)
+
 
 # -- reference: import one row at a time, parsing every date and text as it comes --
 
