@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from .combined import (
@@ -97,6 +97,15 @@ class SerpDataset:
 
     def get(self, engine: str, query: str, date: dt.date) -> RankedList | None:
         return self._records.get((engine, query, date))
+
+
+def _at_one_depth(*datasets: SerpDataset) -> list[SerpDataset]:
+    """``datasets`` with every list cut to the length of the shortest list in any of them."""
+    n = min(ranked.n for dataset in datasets for ranked in dataset._records.values())
+    return [SerpDataset({
+        key: ranked if ranked.n == n else replace(ranked, results=ranked.results[:n])
+        for key, ranked in dataset._records.items()
+    }, dataset.categories) for dataset in datasets]
 
 
 def _require_engines(dataset: SerpDataset, *engines: str) -> None:

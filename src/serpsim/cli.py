@@ -37,7 +37,7 @@ from .rank_metrics import (
     spearman_footrule_sim,
 )
 from .textsim import load_stopwords
-from .urlnorm import RedirectCache, _LINE_END, _follow_cache, canonicalize
+from .urlnorm import RedirectCache, _data_lines, _follow_cache, canonicalize
 
 #: The rank-only baselines ``--metric`` can select instead of ``combined``.
 BASELINE_METRICS = {
@@ -149,23 +149,11 @@ def _loader_options(args: argparse.Namespace) -> dict:
 
 
 def _datasets(args: argparse.Namespace, *paths: str) -> list[analysis.SerpDataset]:
-    """Each path's dataset, all at one depth: ``--top-n``, else the shortest list in any
-    of them. If the files' own depths differ, all load again as under ``--top-n`` the least."""
+    """Each path's dataset, read once, all at one depth: ``--top-n``, else the shortest
+    list in any of them."""
     options = _loader_options(args)
     datasets = [dataset_io.load_dataset(path, **options) for path in paths]
-    if args.top_n is None and len(paths) > 1:
-        depths = {min(ranked.n for ranked in ds._records.values()) for ds in datasets}
-        if len(depths) > 1:
-            options["expected_n"] = min(depths)
-            datasets = [dataset_io.load_dataset(path, **options) for path in paths]
-    return datasets
-
-
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    return datasets if args.top_n is not None else analysis._at_one_depth(*datasets)
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
@@ -302,6 +290,8 @@ def _cmd_drift(args: argparse.Namespace) -> str:
     )
     lines = [dataset_io._tsv_line("drift engine", "# engine", args.engine)]
     for query in sorted(scores):
+        if query in ("mean", "# engine"):
+            raise SerpSimError(f"drift query {query!r} would read as one of drift's own labels")
         lines.append(dataset_io._tsv_line("drift query", query, _fmt(scores[query])))
     lines.append(f"mean\t{_fmt(statistics.fmean(scores.values()))}\n")
     return "".join(lines)
@@ -314,11 +304,8 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
         text = Path(args.file).read_text(encoding="utf-8")
     cache = RedirectCache.from_file(args.redirects) if args.redirects else None
     lines = []
-    for line in _LINE_END.split(text):
-        url = line.strip()
-        if not url or url.startswith("#"):
-            continue
-        canonical = canonicalize(url, sort_query=args.sort_query, strip_www=args.strip_www)
+    for _, url in _data_lines(text):
+        canonical = canonicalize(url.strip(), sort_query=args.sort_query, strip_www=args.strip_www)
         if cache is not None:
             # a canonical form under these options is one under the defaults too
             canonical = _follow_cache(canonical, cache)
@@ -431,7 +418,11 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        _write_or_print(args.func(args), getattr(args, "output", None))
+        text, out = args.func(args), getattr(args, "output", None)
+        if out:
+            Path(out).write_text(text, encoding="utf-8", newline="\n")
+        else:
+            sys.stdout.write(text)
     except BrokenPipeError:
         return 0
     except UsageError as exc:

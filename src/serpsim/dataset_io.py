@@ -24,7 +24,7 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-from .analysis import SerpDataset
+from .analysis import SerpDataset, _at_one_depth
 from .errors import DatasetError, SerpSimError, ValidationError
 from .model import RankedList, SearchResult, SimilarityMatrix, validate_ranked_list
 from .urlnorm import _LINE_END, RedirectCache, canonicalize, resolve_redirects
@@ -97,8 +97,8 @@ class _Load:
         self.path = str(path)
         self.redirect_cache = redirect_cache
         self.normalize = normalize or redirect_cache is not None
-        self.strict = strict
-        self.depth = expected_n  # None: set by the loader, or each list's own length
+        self.strict = strict and expected_n is not None  # only a given depth is enforced
+        self.depth = expected_n  # None: each list's own distinct length
         self.groups: dict[tuple[str, str, dt.date], tuple[int, list[SearchResult]]] = {}
         self.categories: dict[str, tuple[str, int]] = {}
         self.resolved: dict[str, str] = {}
@@ -211,9 +211,7 @@ def load_dataset(
 
     if not groups:
         raise DatasetError("dataset contains no records", where)
-    if load.depth is None:
-        load.depth = min(len({r.url for r in results}) for _, results in groups.values())
-    return load.dataset()
+    return load.dataset() if expected_n is not None else _at_one_depth(load.dataset())[0]
 
 
 class _Encoded(dict):

@@ -21,7 +21,7 @@ from typing import Literal
 
 from .errors import ValidationError
 from .model import RankedList
-from .urlnorm import _LINE_END
+from .urlnorm import _data_lines
 
 # Alphanumeric runs, Unicode-aware; underscore is a separator, not a word char.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -33,12 +33,7 @@ ContentField = Literal["snippet", "title"]
 
 
 def _parse_stopword_lines(text: str) -> frozenset[str]:
-    words = set()
-    for line in _LINE_END.split(text):  # a word may hold U+2028 or U+0085
-        word = line.strip().lower()
-        if word and not word.startswith("#"):
-            words.add(word)
-    return frozenset(words)
+    return frozenset(line.strip().lower() for _, line in _data_lines(text))
 
 
 @lru_cache(maxsize=1)

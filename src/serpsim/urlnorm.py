@@ -15,7 +15,7 @@ import string
 import unicodedata
 import urllib.parse
 from pathlib import Path
-from typing import Callable, Literal
+from typing import Callable, Iterator, Literal
 
 from .errors import DatasetError, RedirectError, UrlParseError
 
@@ -48,6 +48,13 @@ _LINE_END = re.compile(r"\r\n?|\n")
 
 #: (status, location) returned by a fetch callable; location is None unless redirected.
 Fetch = Callable[[str], tuple[int, str | None]]
+
+
+def _data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line that is neither blank nor a ``#`` comment."""
+    for lineno, line in enumerate(_LINE_END.split(text), start=1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
 
 
 def _normalize_escape(match: re.Match) -> str:
@@ -247,10 +254,7 @@ class RedirectCache:
     def from_file(cls, path: str | Path) -> "RedirectCache":
         """Load a cache from a UTF-8 file of "source<TAB>target" lines."""
         cache = cls()
-        text = Path(path).read_text(encoding="utf-8")
-        for lineno, line in enumerate(_LINE_END.split(text), start=1):
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
+        for lineno, line in _data_lines(Path(path).read_text(encoding="utf-8")):
             fields = line.split("\t")
             if len(fields) != 2:
                 raise DatasetError(

@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from serpsim import (
+    MetricConfig,
     RedirectCache,
     SerpDataset,
     ValidationError,
+    combined_similarity,
     format_matrix,
     impact_sweep,
     kendall_tau_sim,
@@ -168,6 +170,42 @@ class TestCompare:
         assert out == ""
         assert err == "error: scoring failed\n"
 
+    def test_file_with_two_records_is_data_error(self, data_dir, tmp_path, capsys):
+        lines = (data_dir / "sample.jsonl").read_text(encoding="utf-8").splitlines(True)
+        two = tmp_path / "two.jsonl"
+        two.write_text("".join(lines[:2]), encoding="utf-8")
+        assert run_cli(["compare", str(two), str(data_dir / "pair_a.jsonl")]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {two}: expected exactly one record, found 2\n"
+        )
+
+    def test_dataset_with_one_selector_is_usage_error(self, data_dir, capsys):
+        code = run_cli(["compare", "--dataset", str(data_dir / "sample.jsonl"),
+                        "--engine-a", "acme"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: compare needs either two record files or --dataset with "
+            "--engine-a, --engine-b, --query and --date\n"
+        )
+
+    def test_unknown_first_engine_is_data_error(self, grid_file, capsys):
+        code = run_cli(
+            ["compare", "--dataset", grid_file, "--engine-a", "zz", "--engine-b", "y",
+             "--query", "alpha query", "--date", "2019-07-01"]
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: no record for zz/alpha query/2019-07-01\n")
+
+    def test_custom_boost(self, data_dir, capsys):
+        pair = [data_dir / "pair_a.jsonl", data_dir / "pair_b_distinct.jsonl"]
+        code = run_cli(["compare", *map(str, pair), "--weights", "1,1,1", "--boost", "0.3,0.2"])
+        assert code == 0
+        out = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+        list_a, list_b = (ds.get(*next(iter(ds))) for ds in map(load_dataset, pair))
+        expected = combined_similarity(list_a, list_b, MetricConfig(1, 1, 1, (0.3, 0.2)))
+        assert out["boost"] == f"{expected.boost:.4f}" != "0.1342"
+        assert out["score"] == f"{expected.score:.4f}"
+
 
 class TestArgHandling:
     def test_help_exits_zero(self, capsys):
@@ -190,6 +228,16 @@ class TestArgHandling:
             ]
         )
         assert code == 1
+
+    def test_non_numeric_weight_exits_one(self, data_dir, capsys):
+        code = run_cli(
+            ["compare", str(data_dir / "pair_a.jsonl"), str(data_dir / "pair_b_same.jsonl"),
+             "--weights", "1,1,x"]
+        )
+        assert code == 1
+        assert "argument --weights: could not convert string to float: 'x'" in (
+            capsys.readouterr().err
+        )
 
     def test_out_of_range_weights_exit_two(self, data_dir, capsys):
         code = run_cli(
@@ -587,6 +635,34 @@ class TestImport:
         assert err == (f"error: {flat}:2: query 'q' has category 'travel', "
                        "but line 1 gave 'energy'\n")
 
+    def test_strict_without_top_n_keeps_a_list_with_a_duplicate_url(self, tmp_path, capsys):
+        rows = [{"q": "q", "d": "2019-07-01", "p": rank, "u": url}
+                for rank, url in enumerate(("http://x/", "http://x", "http://y/"), start=1)]
+        flat = tmp_path / "flat.jsonl"
+        flat.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps({"engine": {"const": "e"}, "query": "q", "date": "d",
+                                       "rank": "p", "url": "u"}))
+        argv = ["import", "--input", str(flat), "--mapping", str(mapping), "--normalize",
+                "--strict"]
+        assert run_cli(argv) == 0
+        [line] = capsys.readouterr().out.splitlines()
+        assert [r["url"] for r in json.loads(line)["results"]] == ["http://x/", "http://y/"]
+        assert run_cli(argv + ["--top-n", "3"]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: {flat}:1: e/q/2019-07-01: only 2 distinct results remain after "
+            "deduplication, expected 3\n"
+        ))
+
+    def test_file_of_blank_lines_exits_two(self, data_dir, tmp_path, capsys):
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text("\n  \n\n", encoding="utf-8")
+        code = run_cli(
+            ["import", "--input", str(blank), "--mapping", str(data_dir / "alien_mapping.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {blank}: no records to import\n")
+
     def test_bad_mapping_file_exits_two(self, data_dir, tmp_path, capsys):
         mapping = tmp_path / "mapping.json"
         mapping.write_text("[]", encoding="utf-8")
@@ -770,6 +846,23 @@ class TestOneDepthPerCommand:
             assert run_cli(argv) == 0
             assert loaded == [sample] * files
 
+    def test_one_load_per_file_of_different_depth(self, data_dir, tmp_path, monkeypatch):
+        loaded = []
+        load = dataset_io.load_dataset
+        monkeypatch.setattr(
+            dataset_io, "load_dataset", lambda path, **kw: loaded.append(path) or load(path, **kw)
+        )
+        sample = str(data_dir / "sample.jsonl")
+        new = _sample_with(data_dir, tmp_path, "x.jsonl", _cut_first("cobalt", 9))
+        for argv in (
+            ["drift", "--old", sample, "--new", new, "--engine", "acme"],
+            ["drift", "--old", new, "--new", sample, "--engine", "acme",
+             "--date-old", "2019-07-01", "--date-new", "2019-07-03"],
+        ):
+            loaded.clear()
+            assert run_cli(argv) == 0
+            assert loaded == [argv[2], argv[4]]
+
 
 class TestTsvBreakingNames:
     def test_drift_refuses_a_query_with_a_line_break(self, data_dir, tmp_path, capsys):
@@ -794,6 +887,35 @@ class TestTsvBreakingNames:
         assert capsys.readouterr() == (
             "", "error: drift engine 'ac\\tme' holds a tab or line break\n"
         )
+
+    @pytest.mark.parametrize("name", ["mean", "# engine"])
+    def test_drift_refuses_a_query_named_as_its_own_label(self, data_dir, tmp_path, capsys, name):
+        def rename(records):
+            for r in records:
+                if r["query"] == "climate change":
+                    r["query"] = name
+        path = _sample_with(data_dir, tmp_path, "label.jsonl", rename)
+        code = run_cli(["drift", "--old", path, "--new", path, "--engine", "acme",
+                        "--date-old", "2019-07-01", "--date-new", "2019-07-03"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: drift query {name!r} would read as one of drift's own labels\n"
+        )
+
+    def test_drift_keeps_a_hashtag_query(self, data_dir, tmp_path, capsys):
+        def rename(records):
+            for r in records:
+                if r["query"] == "climate change":
+                    r["query"] = "#climate"
+        path = _sample_with(data_dir, tmp_path, "hashtag.jsonl", rename)
+        sample = str(data_dir / "sample.jsonl")
+        dates = ["--engine", "acme", "--date-old", "2019-07-01", "--date-new", "2019-07-03"]
+        assert run_cli(["drift", "--old", sample, "--new", sample, *dates]) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert run_cli(["drift", "--old", path, "--new", path, *dates]) == 0
+        renamed = capsys.readouterr().out.splitlines()
+        assert renamed == [plain[0], plain[1].replace("climate change", "#climate"),
+                           *plain[2:]]
 
     @pytest.mark.parametrize("command", ["consistency", "summary"])
     def test_pair_line_refuses_an_engine_with_a_line_break(

@@ -98,6 +98,18 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"data\.jsonl:2"):
             load_dataset(path)
 
+    def test_line_that_is_not_an_object_names_line(self, tmp_path):
+        path = write_jsonl(tmp_path, record_line(), "[1,2]")
+        with pytest.raises(DatasetError, match=r"data\.jsonl:2: each line must be a JSON object$"):
+            load_dataset(path)
+
+    def test_result_that_is_not_an_object_names_line(self, tmp_path):
+        bad = json.loads(record_line())
+        bad["results"][1] = "https://b.example.com/page"
+        path = write_jsonl(tmp_path, json.dumps(bad))
+        with pytest.raises(DatasetError, match=r"data\.jsonl:1: each result must be a JSON obj"):
+            load_dataset(path)
+
     def test_duplicate_rank_names_line(self, tmp_path):
         bad = json.loads(record_line())
         bad["results"][1]["rank"] = 1
@@ -359,6 +371,14 @@ class TestMatrixIO:
     def test_missing_pair_line(self):
         with pytest.raises(DatasetError, match="pair"):
             parse_matrix("date\talpha\n2019-07-01\t0.5\n")
+
+    def test_pair_line_with_one_engine(self):
+        with pytest.raises(DatasetError, match=r"^<string>:1: pair line must name exactly two"):
+            parse_matrix("# pair\tx\ndate\talpha\n2019-07-01\t0.5\n")
+
+    def test_missing_column_header_line(self):
+        with pytest.raises(DatasetError, match=r"^<string>:2: missing column header line$"):
+            parse_matrix("# pair\tx\ty\n")
 
     def test_bad_header(self):
         with pytest.raises(DatasetError, match="date"):
@@ -1092,3 +1112,46 @@ class TestOneResultPerDistinctResult:
             for result in results:
                 assert kept.setdefault(result, result) is result, result
             assert len(kept) == 3 < len(results)
+
+
+# -- the default depth: each list is built once, then cut to the shortest list --
+
+
+@st.composite
+def _lists_of_unequal_depth(draw):
+    """Native lines of 1-6 results drawn from a few raw URLs, so lists repeat a
+    URL and differ in length, with a cache that sends one URL to another."""
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(["e1", "e2"]), st.sampled_from(["q1", "q2"]),
+                  st.sampled_from(["2019-07-01", "2016-03-01"])),
+        min_size=1, max_size=6, unique=True,
+    ))
+    return [
+        {"engine": engine, "query": query, "date": day, "results": [
+            {"rank": rank, "url": draw(st.sampled_from(_SHARED_URLS)),
+             "title": f"t{rank}", "snippet": draw(st.sampled_from(["s", ""]))}
+            for rank in draw(st.permutations(range(1, draw(st.integers(1, 6)) + 1)))
+        ]}
+        for engine, query, day in keys
+    ]
+
+
+class TestDefaultDepthIsTheShortestList:
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=_lists_of_unequal_depth(), strict=st.booleans(),
+           how=st.sampled_from(["plain", "normalize", "redirects"]))
+    def test_default_load_equals_load_at_the_shortest_depth(self, tmp_path, lines, strict, how):
+        path = write_jsonl(tmp_path, *map(json.dumps, lines))
+        cache = RedirectCache(_SHARED_CACHE)
+        options, final = {
+            "plain": ({}, lambda url: url),
+            "normalize": ({"normalize": True}, urlnorm.canonicalize),
+            "redirects": ({"redirect_cache": cache},
+                          lambda url: urlnorm.resolve_redirects(url, cache, "offline")),
+        }[how]
+        shortest = min(len({final(r["url"]) for r in obj["results"]}) for obj in lines)
+        default = load_dataset(path, strict=strict, **options)
+        at_shortest = load_dataset(path, strict=strict, expected_n=shortest, **options)
+        assert dumps_dataset(default) == dumps_dataset(at_shortest)
+        assert {default.get(*key).n for key in default} == {shortest}

@@ -402,6 +402,15 @@ class TestRedirectCache:
         with pytest.raises(DatasetError, match=r"bad\.tsv:2"):
             RedirectCache.from_file(path)
 
+    def test_unparseable_source_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("# comment\nnot a url\thttp://b.example.com/\n")
+        with pytest.raises(DatasetError) as info:
+            RedirectCache.from_file(path)
+        assert str(info.value) == (
+            f"{path}:2: cannot canonicalize 'not a url': missing scheme (not an absolute URL)"
+        )
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "ok.tsv"
         path.write_text("# comment\n\nhttp://a.example.com/\thttp://b.example.com/\n")
