@@ -163,24 +163,15 @@ def _pair_components(
     engine_b: str,
     stopwords: frozenset[str] | None,
 ) -> PairComponents:
-    """``_grid`` of each cell's ``PenaltyComponents``, cached on the dataset.
-
-    The first call for a ``(engine_a, engine_b, stopwords)`` key measures
-    every cell, sharing one content memo among the cells of each query
-    and clearing it at the next, so memory stays bounded by one query's
-    texts. Later calls return the stored ``(days, queries, cells)``.
-    """
+    """``_grid`` of each cell's ``PenaltyComponents``, cached on the dataset: the
+    first call for a ``(engine_a, engine_b, stopwords)`` key measures every cell,
+    later calls return the stored ``(days, queries, cells)``."""
     key = (engine_a, engine_b, stopwords)
     cached = dataset._components.get(key)
     if cached is None:
-        memo = {}
-
-        def measure(list_a: RankedList, list_b: RankedList) -> PenaltyComponents:
-            if (list_a.query, stopwords) not in memo:
-                memo.clear()
-            return penalty_components(list_a, list_b, stopwords, memo=memo)
-
-        cached = dataset._components[key] = _grid(dataset, engine_a, engine_b, measure)
+        cached = dataset._components[key] = _grid(
+            dataset, engine_a, engine_b, lambda a, b: penalty_components(a, b, stopwords)
+        )
     return cached
 
 

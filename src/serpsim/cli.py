@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import analysis, dataset_io
 from .combined import combined_similarity
-from .errors import DatasetError, SerpSimError
+from .errors import DatasetError, RedirectError, SerpSimError, UrlParseError
 from .model import DEFAULT_BOOST_WEIGHTS, DEFAULT_CONFIG, MetricConfig, SimilarityMatrix
 from .rank_metrics import (
     jaro_sim,
@@ -299,16 +299,21 @@ def _cmd_drift(args: argparse.Namespace) -> str:
 
 def _cmd_normalize_urls(args: argparse.Namespace) -> str:
     if args.file == "-":
-        text = sys.stdin.read()
+        path, text = "<stdin>", sys.stdin.read()
     else:
-        text = Path(args.file).read_text(encoding="utf-8")
+        path, text = args.file, Path(args.file).read_text(encoding="utf-8")
     cache = RedirectCache.from_file(args.redirects) if args.redirects else None
     lines = []
-    for _, url in _data_lines(text):
-        canonical = canonicalize(url.strip(), sort_query=args.sort_query, strip_www=args.strip_www)
-        if cache is not None:
-            # a canonical form under these options is one under the defaults too
-            canonical = _follow_cache(canonical, cache)
+    for lineno, url in _data_lines(text):
+        try:
+            canonical = canonicalize(
+                url.strip(), sort_query=args.sort_query, strip_www=args.strip_www
+            )
+            if cache is not None:
+                # a canonical form under these options is one under the defaults too
+                canonical = _follow_cache(canonical, cache)
+        except (UrlParseError, RedirectError) as exc:
+            raise DatasetError(str(exc), path, lineno) from exc
         lines.append(f"{canonical}\n")
     return "".join(lines)
 

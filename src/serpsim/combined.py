@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .model import DEFAULT_CONFIG, MetricConfig, RankedList
 from .rank_metrics import RankAlignment, transposition_penalty
-from .textsim import ContentMemo, content_penalty
+from .textsim import content_penalty
 
 _EPS = 1e-9
 
@@ -98,16 +98,10 @@ def penalty_components(
     list_a: RankedList,
     list_b: RankedList,
     stopwords: frozenset[str] | None = None,
-    *,
-    memo: ContentMemo | None = None,
 ) -> PenaltyComponents:
-    """Measure the config-independent penalties for a pair of lists.
-
-    ``memo`` is passed to ``content_penalty`` for both fields (``None``
-    gives each field a fresh one); it changes speed, never a result.
-    """
-    snippet = content_penalty(list_a, list_b, "snippet", stopwords, memo=memo)
-    title = content_penalty(list_a, list_b, "title", stopwords, memo=memo)
+    """Measure the config-independent penalties for a pair of lists."""
+    snippet = content_penalty(list_a, list_b, "snippet", stopwords)
+    title = content_penalty(list_a, list_b, "title", stopwords)
     alignment = RankAlignment.from_lists(list_a, list_b)
     agreements = tuple(
         i

@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from .analysis import SerpDataset, _at_one_depth
 from .errors import DatasetError, SerpSimError, ValidationError
-from .model import RankedList, SearchResult, SimilarityMatrix, validate_ranked_list
+from .model import RankedList, SearchResult, SimilarityMatrix, _unit_cell, validate_ranked_list
 from .urlnorm import _LINE_END, RedirectCache, canonicalize, resolve_redirects
 
 _MATRIX_PAIR_PREFIX = "# pair"
@@ -312,20 +312,16 @@ def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
         days[day] = lineno
         row: list[float | None] = []
         for cell in fields[1:]:
-            if cell == "NA":
-                row.append(None)
-                continue
             try:
-                row.append(float(cell))
+                row.append(None if cell == "NA" else _unit_cell(float(cell)))
             except ValueError as exc:
                 raise DatasetError(f"bad cell value {cell!r}", source, lineno) from exc
+            except ValidationError as exc:
+                raise DatasetError(str(exc), source, lineno) from exc
         values.append(tuple(row))
-    try:
-        return SimilarityMatrix(
-            engine_pair=engine_pair, days=tuple(days), queries=queries, values=tuple(values)
-        )
-    except ValidationError as exc:
-        raise DatasetError(str(exc), source) from exc
+    return SimilarityMatrix(
+        engine_pair=engine_pair, days=tuple(days), queries=queries, values=tuple(values)
+    )
 
 
 def read_matrix(path: str | Path) -> SimilarityMatrix:

@@ -116,6 +116,13 @@ DEFAULT_BOOST_WEIGHTS: tuple[float, ...] = (0.15, 0.10, 0.07, 0.03, 0.01)
 DEFAULT_CONFIG = MetricConfig(a=0.8, b=1.0, c=0.8, boost_weights=DEFAULT_BOOST_WEIGHTS)
 
 
+def _unit_cell(value: float) -> float:
+    """``value``, if it lies in [0, 1] give or take 1e-9; else a ValidationError."""
+    if not -1e-9 <= value <= 1.0 + 1e-9:
+        raise ValidationError(f"cell value {value} outside [0, 1]")
+    return value
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Day x query grid of similarity values for one engine pair.
@@ -146,10 +153,8 @@ class SimilarityMatrix:
                     f"row for {day} has {len(row)} cells, expected {len(self.queries)}"
                 )
             for value in row:
-                if value is None:
-                    continue
-                if not -1e-9 <= value <= 1.0 + 1e-9:
-                    raise ValidationError(f"cell value {value} outside [0, 1]")
+                if value is not None:
+                    _unit_cell(value)
 
     def cell(self, day: dt.date, query: str) -> float | None:
         return self.values[self.days.index(day)][self.queries.index(query)]

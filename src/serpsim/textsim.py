@@ -53,6 +53,12 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
     return _parse_stopword_lines(Path(path).read_text(encoding="utf-8"))
 
 
+def _drop_set(query: str, stopwords: frozenset[str] | None) -> frozenset[str]:
+    """The stopwords (``None``: the bundled list) plus the query's own tokens."""
+    drop = default_stopwords() if stopwords is None else stopwords
+    return drop.union(_TOKEN_RE.findall(query.lower())) if query else drop
+
+
 def tokenize(
     text: str,
     query: str = "",
@@ -63,11 +69,8 @@ def tokenize(
     Passing a precomputed drop set (the stopwords plus the query's
     tokens) as ``stopwords`` with an empty ``query`` gives the same result.
     """
-    drop = default_stopwords() if stopwords is None else stopwords
-    tokens = _TOKEN_RE.findall(text.lower())
-    if query:
-        tokens = filterfalse(set(_TOKEN_RE.findall(query.lower())).__contains__, tokens)
-    return Counter(filterfalse(drop.__contains__, tokens))
+    drop = _drop_set(query, stopwords)
+    return Counter(filterfalse(drop.__contains__, _TOKEN_RE.findall(text.lower())))
 
 
 def cosine_distance(v1: Counter[str], v2: Counter[str]) -> float:
@@ -94,9 +97,9 @@ def cosine_distance(v1: Counter[str], v2: Counter[str]) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-#: Per-(query, stopwords) work shared across calls: the drop set, text →
-#: term vector, and unordered (text, text) → distance.
-ContentMemo = dict[tuple[str, frozenset[str] | None], tuple[frozenset[str], dict, dict]]
+# The last (query, stopwords) content_penalty scored, mapped to its drop set,
+# text -> term vector and unordered (text, text) -> distance; a new key replaces it.
+_cache: dict[tuple[str, frozenset[str] | None], tuple[frozenset[str], dict, dict]] = {}
 
 
 def content_penalty(
@@ -104,19 +107,14 @@ def content_penalty(
     list_b: RankedList,
     field: ContentField,
     stopwords: frozenset[str] | None = None,
-    *,
-    memo: ContentMemo | None = None,
 ) -> float:
     """Summed cosine distances of ``field`` over the shared URLs.
 
     Ranges over [0, m] where m is the number of URLs the lists share.
     Iteration follows sorted URL order so the result is bitwise
-    symmetric in its two list arguments.
-
-    ``memo`` changes speed, never a result: pass the same dict to calls
-    that share texts to tokenize each text and compare each text pair
-    once. Its entries are keyed by ``(query, stopwords)``, so one memo
-    may span queries and stopword sets; ``None`` uses a fresh one.
+    symmetric in its two list arguments. Consecutive calls for one
+    query and stopword set tokenize each text and compare each text
+    pair once; that changes speed, never a result.
     """
     if list_a.n != list_b.n:
         raise ValidationError(
@@ -126,13 +124,13 @@ def content_penalty(
         raise ValidationError(
             f"lists answer different queries: {list_a.query!r} vs {list_b.query!r}"
         )
-    if memo is None:
-        memo = {}
     key = (list_a.query, stopwords)
-    if key not in memo:
-        drop = default_stopwords() if stopwords is None else stopwords
-        memo[key] = (drop | set(_TOKEN_RE.findall(list_a.query.lower())), {}, {})
-    drop, vectors, distances = memo[key]
+    entry = _cache.get(key)
+    if entry is None:
+        entry = (_drop_set(list_a.query, stopwords), {}, {})
+        _cache.clear()
+        _cache[key] = entry
+    drop, vectors, distances = entry
 
     def vector(text: str) -> Counter[str]:
         v = vectors.get(text)

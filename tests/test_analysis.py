@@ -23,6 +23,7 @@ from serpsim import (
     score_from_components,
     similarity_matrix,
     spearman_footrule_sim,
+    textsim,
 )
 from tests.conftest import make_list
 
@@ -309,36 +310,43 @@ class TestComponentCacheKey:
         assert footrule.cell(D1, "beta query") == 0.0
 
 
-@pytest.fixture
-def memo_keys(monkeypatch) -> list:
-    """Per ``penalty_components`` call made by ``analysis``: the cell's
-    ``(query, stopwords)`` and the keys its memo held when called."""
-    calls = []
-    original = analysis.penalty_components
-
-    def recording(list_a, list_b, stopwords=None, **kwargs):
-        calls.append(((list_a.query, stopwords), set(kwargs["memo"])))
-        return original(list_a, list_b, stopwords, **kwargs)
-
-    monkeypatch.setattr(analysis, "penalty_components", recording)
-    return calls
+def _panel() -> SerpDataset:
+    """Engines x and y on every query and three days; y's content differs on D2."""
+    return SerpDataset.from_lists(
+        make_list(keys, engine=engine, query=query, date=day,
+                  flavor="alt" if (engine, day) == ("y", D2) else "plain")
+        for engine, keys in (("x", "abc"), ("y", "cab"))
+        for query in QUERIES
+        for day in (D1, D2, D3)
+    )
 
 
-class TestContentMemoBound:
-    def test_memo_holds_the_current_query_only(self, memo_keys):
-        dataset = SerpDataset.from_lists(
-            make_list(keys, engine=engine, query=query, date=day)
-            for engine, keys in (("x", "abc"), ("y", "cab"))
-            for query in QUERIES
-            for day in (D1, D2, D3)
-        )
+class TestContentCache:
+    def test_holds_the_last_query_only(self):
+        dataset = _panel()
         for stopwords in (None, frozenset({"word"})):
             similarity_matrix(dataset, "x", "y", stopwords=stopwords)
             impact_sweep(dataset, "y", "x", "title", stopwords=stopwords)
-        assert len(memo_keys) == 2 * 2 * len(QUERIES) * 3
-        assert all(held <= {key} for key, held in memo_keys)
-        # every cell after a query's first shares that query's memo
-        assert sum(held == {key} for key, held in memo_keys) == 2 * 2 * len(QUERIES) * 2
+            assert list(textsim._cache) == [(max(QUERIES), stopwords)]
+
+    def test_each_text_is_tokenized_once_per_query(self, monkeypatch):
+        dataset = _panel()
+        tokenized = []
+        tokenize = textsim.tokenize
+
+        def counting(text, *args):
+            tokenized.append(text)
+            return tokenize(text, *args)
+
+        monkeypatch.setattr(textsim, "tokenize", counting)
+        textsim._cache.clear()
+        similarity_matrix(dataset, "x", "y")
+        texts_per_query = [
+            {text for key in dataset if key[1] == query
+             for r in dataset.get(*key).results for text in (r.title, r.snippet)}
+            for query in QUERIES
+        ]
+        assert len(tokenized) == sum(map(len, texts_per_query)) == 12 * len(QUERIES)
 
 
 class TestConsistencySeries:

@@ -593,6 +593,32 @@ class TestNormalizeUrls:
         assert out == ""
         assert "not-a-url" in err
 
+    def test_bad_url_error_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "urls.txt"
+        path.write_text("http://a.com/x\n\nhttp://[zz]/a\n", encoding="utf-8")
+        assert run_cli(["normalize-urls", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path}:3: cannot canonicalize 'http://[zz]/a'")
+
+    def test_stdin_error_names_its_line(self, tmp_path, capsys, monkeypatch):
+        redirects = tmp_path / "redirects.tsv"
+        redirects.write_text("http://a.com/x\thttp://b.com/\n", encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("http://a.com/x\nnot a url\n"))
+        assert run_cli(["normalize-urls", "-", "--redirects", str(redirects)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: <stdin>:2: cannot canonicalize 'not a url'"
+        )
+
+    def test_redirect_loop_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "urls.txt"
+        path.write_text("# urls\nhttp://a.com/x\n", encoding="utf-8")
+        redirects = tmp_path / "redirects.tsv"
+        redirects.write_text("http://a.com/x\thttp://b.com/\nhttp://b.com/\thttp://a.com/x\n",
+                             encoding="utf-8")
+        assert run_cli(["normalize-urls", str(path), "--redirects", str(redirects)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: redirect loop in cache")
+
     def test_sort_query_flag(self, tmp_path, capsys):
         path = tmp_path / "urls.txt"
         path.write_text("http://example.com/?b=2&a=1\n", encoding="utf-8")
@@ -932,6 +958,17 @@ class TestTsvBreakingNames:
         assert capsys.readouterr() == (
             "", "error: matrix engine 'bra\\rvo' holds a tab or line break\n"
         )
+
+
+@pytest.mark.parametrize("cell", ["1.5", "nan", "inf"])
+def test_matrix_file_cell_outside_unit_range_names_its_line(tmp_path, capsys, cell):
+    path = tmp_path / "m.tsv"
+    path.write_text(f"# pair\tx\ty\ndate\tq1\n2019-07-01\t0.5000\n2019-07-02\t{cell}\n",
+                    encoding="utf-8")
+    assert run_cli(["summary", "--matrix", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {path}:4: cell value {float(cell)} outside [0, 1]\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["consistency", "summary"])

@@ -394,6 +394,17 @@ class TestMatrixIO:
         with pytest.raises(DatasetError, match="cell"):
             parse_matrix(text)
 
+    @pytest.mark.parametrize("cell", ["1.5", "-0.01", "nan", "inf", "-inf"])
+    def test_cell_outside_unit_range_names_its_line(self, cell):
+        text = f"# pair\tx\ty\ndate\talpha\n2019-07-01\t0.5\n2019-07-02\t{cell}\n"
+        with pytest.raises(DatasetError, match=r"^<string>:4: cell value \S+ outside \[0, 1\]$"):
+            parse_matrix(text)
+
+    @pytest.mark.parametrize("cell", ["0.0", "1.0", "1.0000000005", "-0.0000000005"])
+    def test_cells_the_matrix_accepts_parse(self, cell):
+        text = f"# pair\tx\ty\ndate\talpha\n2019-07-01\t{cell}\n"
+        assert parse_matrix(text).values == ((float(cell),),)
+
     @pytest.mark.parametrize("char", ["\u2028", "\u0085", "\x0b", "\x0c", "\x1c"])
     def test_round_trip_keeps_names_with_other_line_breaks(self, char):
         matrix = SimilarityMatrix(

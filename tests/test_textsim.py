@@ -1,6 +1,9 @@
 import datetime as dt
 import math
+import os
 import re
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -168,24 +171,80 @@ class TestContentPenalty:
         for text in text_a.values():
             assert tokenize(text, query, stopwords) == tokenize(text, "", drop)
 
-    def test_memo_never_crosses_queries_or_stopwords(self):
-        # one text under two queries whose tokens it contains
-        def ranked(engine, query, snippet):
-            return RankedList(engine, query, dt.date(2019, 7, 1), (
-                SearchResult(url="https://a.example.com/", title="t", snippet=snippet, rank=1),
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        texts=st.lists(_texts, min_size=1, max_size=3),
+        # per call: query, stopwords, field, and which texts its two URLs carry
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(_QUERIES), st.sampled_from(_STOPWORDS),
+                st.sampled_from(["snippet", "title"]), st.integers(0, 2), st.integers(0, 2),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_cache_never_crosses_queries_or_stopwords(self, texts, calls):
+        def ranked(engine, query, field, first, second):
+            return RankedList(engine, query, dt.date(2019, 7, 1), tuple(
+                SearchResult(url=url, rank=rank, **{"title": "x", "snippet": "x", field: text})
+                for rank, (url, text) in enumerate(
+                    [("https://a.example.com/", first), ("https://b.example.com/", second)],
+                    start=1,
+                )
             ))
 
-        memo = {}
-        for query in ("aurora", "solar", "aurora"):
-            for stopwords in (None, frozenset({"borealis"}), None):
-                pair = (ranked("e1", query, "aurora solar borealis"),
-                        ranked("e2", query, "aurora borealis"))
-                fresh = content_penalty(*pair, "snippet", stopwords)
-                assert content_penalty(*pair, "snippet", stopwords, memo=memo) == fresh
-        assert sorted(memo, key=repr) == sorted(
-            [(q, sw) for q in ("aurora", "solar") for sw in (None, frozenset({"borealis"}))],
-            key=repr,
-        )
+        # a fixed start moves to another query and stopword set, then back to both
+        start = [(_QUERIES[0], None), (_QUERIES[1], _STOPWORDS[2]), (_QUERIES[0], None)]
+        for query, stopwords, field, i, j in [(q, sw, "snippet", 0, 1) for q, sw in start] + calls:
+            a, b = texts[i % len(texts)], texts[j % len(texts)]
+            va, vb = (tokenize(text, query, stopwords) for text in (a, b))
+            expected = sum([cosine_distance(va, vb), cosine_distance(vb, va)])
+            pair = (ranked("e1", query, field, a, b), ranked("e2", query, field, b, a))
+            assert content_penalty(*pair, field, stopwords) == expected
+
+    def test_threads_scoring_at_once_get_fresh_results(self):
+        text_a, text_b = "aurora solar borealis the panel", "Aurora panel škoda of 2019"
+        pairs = {query: tuple(
+            RankedList(engine, query, dt.date(2019, 7, 1), (
+                SearchResult(url="https://a.example.com/", title="t", snippet=text, rank=1),
+            ))
+            for engine, text in (("e1", text_a), ("e2", text_b))
+        ) for query in _QUERIES}
+        keys = [(query, stopwords) for query in _QUERIES for stopwords in _STOPWORDS]
+        expected = {
+            key: cosine_distance(tokenize(text_a, *key), tokenize(text_b, *key)) for key in keys
+        }
+        wrong = []
+
+        def score(offset):
+            for k in range(1000):
+                query, stopwords = keys[(offset + k) % len(keys)]
+                try:
+                    got = content_penalty(*pairs[query], "snippet", stopwords)
+                except Exception as exc:  # recorded, so the assertion below reports it
+                    got = exc
+                if got != expected[(query, stopwords)]:
+                    wrong.append((query, stopwords, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=score, args=(i,)) for i in range((os.cpu_count() or 1) + 2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_stopwords_must_be_hashable(self):
+        a, b = make_list("abc", engine="e1"), make_list("abc", engine="e2")
+        with pytest.raises(TypeError):
+            content_penalty(a, b, "snippet", {"snippeta"})
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="length"):
