@@ -57,7 +57,7 @@ def build_pair_file(name: str, engine: str, keys: str, flavor: str) -> None:
         for rank, key in enumerate(keys, start=1)
     )
     ranked = RankedList(engine=engine, query=PAIR_QUERY, date=PAIR_DAY, results=results)
-    write_dataset(SerpDataset.from_lists([ranked]), DATA_DIR / name)
+    write_dataset(SerpDataset([ranked]), DATA_DIR / name)
 
 
 def content_for(query: str, url: str, engine_group: str) -> tuple[str, str]:
@@ -122,7 +122,7 @@ def build_sample() -> SerpDataset:
                     RankedList(engine=engine, query=query, date=day, results=results)
                 )
                 urls = mutate_day(rng, urls, pool)
-    return SerpDataset.from_lists(lists, categories=QUERIES)
+    return SerpDataset(lists, categories=QUERIES)
 
 
 def build_alien() -> None:

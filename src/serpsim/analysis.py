@@ -38,41 +38,26 @@ DEFAULT_SWEEP_STEPS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 class SerpDataset:
     """An indexed collection of ranked lists, one per (engine, query, date).
 
-    ``categories`` optionally maps a query to a topic label; it is carried
-    along for reporting and never affects any score. The dataset keeps
-    each engine pair's ``PenaltyComponents`` once measured, keyed by
-    ``(engine_a, engine_b, stopwords)``: one small object per shared
-    cell, reused by every later matrix and sweep over that pair.
+    Each list is keyed by its own engine, query and date; a second list
+    with the same key is a ValidationError. ``categories`` optionally
+    maps a query to a topic label; it is carried along for reporting and
+    never affects any score. The dataset keeps each engine pair's
+    ``PenaltyComponents`` once measured, keyed by ``(engine_a, engine_b,
+    stopwords)``: one small object per shared cell, reused by every later
+    matrix and sweep over that pair.
     """
 
     def __init__(
-        self,
-        records: Mapping[RecordKey, RankedList],
-        categories: Mapping[str, str] | None = None,
+        self, lists: Iterable[RankedList], categories: Mapping[str, str] | None = None
     ):
-        self._records = dict(records)
-        self.categories = dict(categories or {})
-        self._components: dict[tuple[str, str, frozenset[str] | None], PairComponents] = {}
-        for key, ranked in self._records.items():
-            if (ranked.engine, ranked.query, ranked.date) != key:
-                raise ValidationError(
-                    f"record key {key} does not match list identity "
-                    f"({ranked.engine}, {ranked.query}, {ranked.date})"
-                )
-
-    @classmethod
-    def from_lists(
-        cls,
-        lists: Iterable[RankedList],
-        categories: Mapping[str, str] | None = None,
-    ) -> "SerpDataset":
-        records: dict[RecordKey, RankedList] = {}
+        self._records: dict[RecordKey, RankedList] = {}
         for ranked in lists:
             key = (ranked.engine, ranked.query, ranked.date)
-            if key in records:
+            if key in self._records:
                 raise ValidationError(f"duplicate record for {key}")
-            records[key] = ranked
-        return cls(records, categories)
+            self._records[key] = ranked
+        self.categories = dict(categories or {})
+        self._components: dict[tuple[str, str, frozenset[str] | None], PairComponents] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -102,10 +87,10 @@ class SerpDataset:
 def _at_one_depth(*datasets: SerpDataset) -> list[SerpDataset]:
     """``datasets`` with every list cut to the length of the shortest list in any of them."""
     n = min(ranked.n for dataset in datasets for ranked in dataset._records.values())
-    return [SerpDataset({
-        key: ranked if ranked.n == n else replace(ranked, results=ranked.results[:n])
-        for key, ranked in dataset._records.items()
-    }, dataset.categories) for dataset in datasets]
+    return [SerpDataset((
+        ranked if ranked.n == n else replace(ranked, results=ranked.results[:n])
+        for ranked in dataset._records.values()
+    ), dataset.categories) for dataset in datasets]
 
 
 def _require_engines(dataset: SerpDataset, *engines: str) -> None:

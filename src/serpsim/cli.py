@@ -148,9 +148,23 @@ def _loader_options(args: argparse.Namespace) -> dict:
     }
 
 
+def _refuse_unread(args: argparse.Namespace, mode: str, *dests: str) -> None:
+    """UsageError naming, in parser order, each option among ``dests`` given a value
+    other than its default: ``mode`` would not read it."""
+    parser = args.parser
+    unread = [
+        action.option_strings[-1] for action in parser._actions
+        if action.dest in dests and getattr(args, action.dest) != parser.get_default(action.dest)
+    ]
+    if unread:
+        raise UsageError(f"{mode} cannot be combined with {', '.join(unread)}")
+
+
 def _datasets(args: argparse.Namespace, *paths: str) -> list[analysis.SerpDataset]:
     """Each path's dataset, read once, all at one depth: ``--top-n``, else the shortest
-    list in any of them."""
+    list in any of them. A rank-only ``--metric`` first refuses the content flags."""
+    if getattr(args, "metric", "combined") != "combined":
+        _refuse_unread(args, f"--metric {args.metric}", "weights", "boost", "stopwords")
     options = _loader_options(args)
     datasets = [dataset_io.load_dataset(path, **options) for path in paths]
     return datasets if args.top_n is not None else analysis._at_one_depth(*datasets)
@@ -160,13 +174,9 @@ def _cmd_compare(args: argparse.Namespace) -> str:
     if args.files:
         if len(args.files) != 2:
             raise UsageError("compare needs exactly two record files")
-        selectors = [
-            "--" + dest.replace("_", "-")
-            for dest in ("dataset", "engine_a", "engine_b", "query", "date", "date_b")
-            if getattr(args, dest) is not None
-        ]
-        if selectors:
-            raise UsageError(f"compare FILE FILE cannot be combined with {', '.join(selectors)}")
+        _refuse_unread(
+            args, "compare FILE FILE", "dataset", "engine_a", "engine_b", "query", "date", "date_b"
+        )
         datasets = _datasets(args, *args.files)
         for path, dataset in zip(args.files, datasets):
             if len(dataset) != 1:
@@ -223,14 +233,7 @@ def _cmd_matrix(args: argparse.Namespace) -> str:
 def _matrix_or_file(args: argparse.Namespace) -> SimilarityMatrix:
     if args.matrix:
         # a matrix file is already scored, so no option but -o can apply to it
-        conflicts = [
-            action.option_strings[-1]
-            for action in args.parser._actions
-            if action.option_strings and action.dest not in ("matrix", "output")
-            and getattr(args, action.dest, action.default) != action.default
-        ]
-        if conflicts:
-            raise UsageError(f"--matrix cannot be combined with {', '.join(conflicts)}")
+        _refuse_unread(args, "--matrix", *vars(args).keys() - {"matrix", "output"})
         return dataset_io.read_matrix(args.matrix)
     if not (args.dataset and args.engine_a and args.engine_b):
         raise UsageError(
@@ -301,7 +304,7 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
     if args.file == "-":
         path, text = "<stdin>", sys.stdin.read()
     else:
-        path, text = args.file, Path(args.file).read_text(encoding="utf-8")
+        path, text = args.file, Path(args.file).read_text(encoding="utf-8-sig")
     cache = RedirectCache.from_file(args.redirects) if args.redirects else None
     lines = []
     for lineno, url in _data_lines(text):
@@ -320,7 +323,7 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
 
 def _cmd_import(args: argparse.Namespace) -> str:
     try:
-        mapping = json.loads(Path(args.mapping).read_text(encoding="utf-8"))
+        mapping = json.loads(Path(args.mapping).read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DatasetError(f"mapping is not valid JSON: {exc}", args.mapping) from exc
     if not isinstance(mapping, dict):
@@ -349,14 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--date-b", type=_parse_date, metavar="YYYY-MM-DD",
         help="date for the second engine (default: --date)",
     )
-    compare.set_defaults(func=_cmd_compare)
+    compare.set_defaults(func=_cmd_compare, parser=compare)
 
     matrix = sub.add_parser("matrix", parents=scoring, help="day x query similarity grid")
     matrix.add_argument("--dataset", required=True, metavar="PATH")
     matrix.add_argument("--engine-a", required=True, metavar="NAME")
     matrix.add_argument("--engine-b", required=True, metavar="NAME")
     matrix.add_argument("-o", "--output", metavar="PATH")
-    matrix.set_defaults(func=_cmd_matrix)
+    matrix.set_defaults(func=_cmd_matrix, parser=matrix)
 
     for name, handler, text in (
         ("consistency", _cmd_consistency, "per-day mean similarity"),

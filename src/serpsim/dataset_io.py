@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from .analysis import SerpDataset, _at_one_depth
 from .errors import DatasetError, SerpSimError, ValidationError
-from .model import RankedList, SearchResult, SimilarityMatrix, _unit_cell, validate_ranked_list
+from .model import SearchResult, SimilarityMatrix, _unit_cell, validate_ranked_list
 from .urlnorm import _LINE_END, RedirectCache, canonicalize, resolve_redirects
 
 _MATRIX_PAIR_PREFIX = "# pair"
@@ -67,7 +67,7 @@ def _parse_date(raw: str, path: str, lineno: int) -> dt.date:
 def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
     """Stream ``(line number, object)`` for each non-blank line. Only ``\\n``,
     ``\\r`` and ``\\r\\n`` end a line, so a raw U+2028 or U+0085 stays in its record."""
-    with path.open(encoding="utf-8") as lines:
+    with path.open(encoding="utf-8-sig") as lines:
         for lineno, line in enumerate(lines, start=1):
             if line.isspace():
                 continue
@@ -142,17 +142,17 @@ class _Load:
 
     def dataset(self) -> SerpDataset:
         """Dedup, truncate to ``depth`` (None: each list's own length) and re-rank."""
-        records: dict[tuple[str, str, dt.date], RankedList] = {}
+        lists = []
         for (engine, query, date), (lineno, results) in self.groups.items():
             n = len(results) if self.depth is None else self.depth
             try:
-                records[(engine, query, date)] = validate_ranked_list(
+                lists.append(validate_ranked_list(
                     results, n, engine=engine, query=query, date=date, strict=self.strict
-                )
+                ))
             except ValidationError as exc:
                 raise DatasetError(str(exc), self.path, lineno) from exc
         labels = {query: category for query, (category, _) in self.categories.items()}
-        return SerpDataset(records, labels)
+        return SerpDataset(lists, labels)
 
 
 def load_dataset(
@@ -326,7 +326,7 @@ def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
 
 def read_matrix(path: str | Path) -> SimilarityMatrix:
     path = Path(path)
-    return parse_matrix(path.read_text(encoding="utf-8"), str(path))
+    return parse_matrix(path.read_text(encoding="utf-8-sig"), str(path))
 
 
 #: The fields an import mapping names; it may also give a "date_format".

@@ -145,30 +145,19 @@ def jaro_similarity(seq_a: Sequence[Hashable], seq_b: Sequence[Hashable]) -> flo
     return (m / len_a + m / len_b + (m - t) / m) / 3.0
 
 
-def jaro_winkler_similarity(
-    seq_a: Sequence[Hashable],
-    seq_b: Sequence[Hashable],
-    *,
-    prefix_scale: float = 0.1,
-    max_prefix: int = 3,
-) -> float:
+def jaro_winkler_similarity(seq_a: Sequence[Hashable], seq_b: Sequence[Hashable]) -> float:
     """Jaro similarity boosted toward 1 for a shared leading prefix.
 
-    The boost adds prefix_scale per shared leading symbol, counting at
-    most max_prefix of them; prefix_scale * max_prefix must stay within
-    [0, 1] so the result cannot exceed 1.
+    The boost adds 0.1 per shared leading symbol, counting at most 3 of
+    them, so the result cannot exceed 1.
     """
-    if not 0.0 <= prefix_scale * max_prefix <= 1.0 or prefix_scale < 0 or max_prefix < 0:
-        raise ValidationError(
-            f"prefix boost out of range: scale={prefix_scale} max={max_prefix}"
-        )
     jaro = jaro_similarity(seq_a, seq_b)
     prefix = 0
     for x, y in zip(seq_a, seq_b):
-        if x != y or prefix >= max_prefix:
+        if x != y or prefix >= 3:
             break
         prefix += 1
-    return jaro + prefix * prefix_scale * (1.0 - jaro)
+    return jaro + prefix * 0.1 * (1.0 - jaro)
 
 
 def jaro_sim(list_a: RankedList, list_b: RankedList) -> float:

@@ -50,7 +50,7 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword file: UTF-8, one word per line, '#' comments."""
-    return _parse_stopword_lines(Path(path).read_text(encoding="utf-8"))
+    return _parse_stopword_lines(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _drop_set(query: str, stopwords: frozenset[str] | None) -> frozenset[str]:

@@ -254,7 +254,7 @@ class RedirectCache:
     def from_file(cls, path: str | Path) -> "RedirectCache":
         """Load a cache from a UTF-8 file of "source<TAB>target" lines."""
         cache = cls()
-        for lineno, line in _data_lines(Path(path).read_text(encoding="utf-8")):
+        for lineno, line in _data_lines(Path(path).read_text(encoding="utf-8-sig")):
             fields = line.split("\t")
             if len(fields) != 2:
                 raise DatasetError(

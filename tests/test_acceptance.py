@@ -281,7 +281,7 @@ class TestCriterion6ImpactSweepShape:
     def dataset(self) -> SerpDataset:
         # same URLs in the same order, same titles, orthogonal snippets:
         # only the snippet weight has anything to attenuate
-        return SerpDataset.from_lists(
+        return SerpDataset(
             [
                 make_list("abcdef", engine="x", snippet_flavor="plain"),
                 make_list("abcdef", engine="y", snippet_flavor="alt"),

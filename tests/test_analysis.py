@@ -37,7 +37,7 @@ D3 = dt.date(2019, 7, 3)
 @pytest.fixture
 def grid_dataset() -> SerpDataset:
     """2x2 grid with one identical pair, one swap, one disjoint, one hole."""
-    return SerpDataset.from_lists(
+    return SerpDataset(
         [
             make_list("ab", engine="x", query="alpha query", date=D1),
             make_list("ab", engine="y", query="alpha query", date=D1),
@@ -65,13 +65,38 @@ class TestSerpDataset:
     def test_duplicate_rejected(self):
         lists = [make_list("ab", engine="x"), make_list("ba", engine="x")]
         with pytest.raises(ValidationError, match="duplicate"):
-            SerpDataset.from_lists(lists)
+            SerpDataset(lists)
 
     def test_categories_carried(self):
-        ds = SerpDataset.from_lists(
+        ds = SerpDataset(
             [make_list("ab", engine="x")], categories={"sample query": "testing"}
         )
         assert ds.categories["sample query"] == "testing"
+
+    def test_repeated_key_is_refused_and_named(self):
+        lists = [make_list("ab", engine="x", date=D1), make_list("ab", engine="y", date=D1),
+                 make_list("ba", engine="x", date=D1)]
+        key = ("x", "sample query", D1)
+        with pytest.raises(ValidationError) as info:
+            SerpDataset(lists)
+        assert str(info.value) == f"duplicate record for {key}"
+
+    def test_same_lists_on_other_dates_are_kept(self):
+        ds = SerpDataset(make_list("ab", engine="x", date=day) for day in (D1, D2))
+        assert list(ds) == [("x", "sample query", D1), ("x", "sample query", D2)]
+
+    def test_keeps_categories_as_its_own_copy(self):
+        categories = {"sample query": "testing"}
+        ds = SerpDataset([make_list("ab", engine="x")], categories)
+        categories["sample query"] = "changed"
+        assert ds.categories == {"sample query": "testing"}
+        assert SerpDataset([]).categories == {}
+
+    def test_accepts_a_generator(self):
+        lists = [make_list("ab", engine=engine) for engine in ("x", "y", "z")]
+        ds = SerpDataset(ranked for ranked in lists)
+        assert len(ds) == 3
+        assert [ds.get(*key) for key in ds] == lists
 
 
 class TestSimilarityMatrix:
@@ -108,7 +133,7 @@ def short_list_dataset() -> SerpDataset:
             lists.append(make_list("abc", engine="x", query=query, date=day))
             short = query == "beta query" and day == D2
             lists.append(make_list("ab" if short else "acb", engine="y", query=query, date=day))
-    return SerpDataset.from_lists(lists)
+    return SerpDataset(lists)
 
 
 class TestScoringErrorNamesCell:
@@ -137,11 +162,11 @@ class TestScoringErrorNamesCell:
         assert ds._components == {}
 
     def test_drift(self):
-        old = SerpDataset.from_lists([
+        old = SerpDataset([
             make_list("abc", engine="x", query="alpha query", date=D1),
             make_list("abc", engine="x", query="beta query", date=D1),
         ])
-        new = SerpDataset.from_lists([
+        new = SerpDataset([
             make_list("acb", engine="x", query="alpha query", date=D2),
             make_list("ab", engine="x", query="beta query", date=D3),
         ])
@@ -204,7 +229,7 @@ def repeating_datasets(draw) -> SerpDataset:
                 url=f"https://{key}.example.com/", title=title, snippet=snippet, rank=rank
             ))
         lists.append(RankedList(engine, query, day, tuple(results)))
-    return SerpDataset.from_lists(lists)
+    return SerpDataset(lists)
 
 
 def _fresh_sweep(dataset, engine_a, engine_b, factor, stopwords):
@@ -275,7 +300,7 @@ def counted(monkeypatch) -> list:
 
 
 def _copy(dataset: SerpDataset) -> SerpDataset:
-    return SerpDataset.from_lists(dataset.get(*key) for key in dataset)
+    return SerpDataset(dataset.get(*key) for key in dataset)
 
 
 class TestComponentCacheKey:
@@ -289,7 +314,7 @@ class TestComponentCacheKey:
         assert report == impact_sweep(_copy(grid_dataset), "x", "y", "title")
 
     def test_stopwords_are_part_of_the_key(self, counted):
-        dataset = SerpDataset.from_lists([
+        dataset = SerpDataset([
             make_list("ab", engine="x"),
             make_list("ab", engine="y", snippet_flavor="alt"),
         ])
@@ -312,7 +337,7 @@ class TestComponentCacheKey:
 
 def _panel() -> SerpDataset:
     """Engines x and y on every query and three days; y's content differs on D2."""
-    return SerpDataset.from_lists(
+    return SerpDataset(
         make_list(keys, engine=engine, query=query, date=day,
                   flavor="alt" if (engine, day) == ("y", D2) else "plain")
         for engine, keys in (("x", "abc"), ("y", "cab"))
@@ -358,7 +383,7 @@ class TestConsistencySeries:
         assert series[1][1] == pytest.approx(0.0)
 
     def test_day_without_cells_is_none(self):
-        ds = SerpDataset.from_lists(
+        ds = SerpDataset(
             [
                 make_list("ab", engine="x", date=D1),
                 make_list("ab", engine="y", date=D1),
@@ -379,7 +404,7 @@ class TestPairSummary:
         assert stats["max"] == 1.0
 
     def test_empty_matrix_rejected(self):
-        ds = SerpDataset.from_lists(
+        ds = SerpDataset(
             [
                 make_list("ab", engine="x", date=D1),
                 make_list("ab", engine="y", date=D2),
@@ -393,7 +418,7 @@ class TestPairSummary:
 @pytest.fixture
 def sweep_dataset() -> SerpDataset:
     """Same URLs and order, same titles, orthogonal snippets."""
-    return SerpDataset.from_lists(
+    return SerpDataset(
         [
             make_list("abcdef", engine="x", snippet_flavor="plain"),
             make_list("abcdef", engine="y", snippet_flavor="alt"),
@@ -431,14 +456,14 @@ class TestImpactSweep:
             impact_sweep(sweep_dataset, "x", "y", "snippet", steps)
 
     def test_zero_baseline_rejected(self):
-        ds = SerpDataset.from_lists(
+        ds = SerpDataset(
             [make_list("abc", engine="x"), make_list("xyz", engine="y")]
         )
         with pytest.raises(ValidationError, match="zero"):
             impact_sweep(ds, "x", "y", "snippet")
 
     def test_no_shared_cells_rejected(self):
-        ds = SerpDataset.from_lists(
+        ds = SerpDataset(
             [
                 make_list("abc", engine="x", date=D1),
                 make_list("abc", engine="y", date=D2),
@@ -457,20 +482,20 @@ class TestCrossPeriodDrift:
         assert all(v == 1.0 for v in scores.values())
 
     def test_defaults_to_earliest_dates(self):
-        old = SerpDataset.from_lists([make_list("abcdef", engine="x", date=D1)])
-        new = SerpDataset.from_lists([make_list("abcghi", engine="x", date=D2)])
+        old = SerpDataset([make_list("abcdef", engine="x", date=D1)])
+        new = SerpDataset([make_list("abcghi", engine="x", date=D2)])
         scores = cross_period_drift(old, new, "x", UNIT)
         assert scores["sample query"] == pytest.approx(0.6779, abs=1e-4)
 
     def test_each_query_uses_its_own_earliest_date(self):
-        old = SerpDataset.from_lists([
+        old = SerpDataset([
             make_list("abcdef", engine="x", query="alpha query", date=D2),
             make_list("fedcba", engine="x", query="alpha query", date=D3),
             make_list("abcghi", engine="x", query="beta query", date=D1),
             make_list("abcdef", engine="x", query="beta query", date=D3),
             make_list("ghidef", engine="y", query="alpha query", date=D1),
         ])
-        new = SerpDataset.from_lists([
+        new = SerpDataset([
             make_list("abcdfe", engine="x", query="alpha query", date=D3),
             make_list("abcdef", engine="x", query="beta query", date=D2),
             make_list("defabc", engine="x", query="beta query", date=D3),
@@ -490,8 +515,8 @@ class TestCrossPeriodDrift:
         assert len(set(scores.values())) == 2
 
     def test_no_shared_queries_rejected(self):
-        old = SerpDataset.from_lists([make_list("ab", engine="x", query="one query")])
-        new = SerpDataset.from_lists([make_list("ab", engine="x", query="two query")])
+        old = SerpDataset([make_list("ab", engine="x", query="one query")])
+        new = SerpDataset([make_list("ab", engine="x", query="two query")])
         with pytest.raises(ValidationError, match="share no queries"):
             cross_period_drift(old, new, "x", UNIT)
 

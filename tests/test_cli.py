@@ -3,7 +3,9 @@ import datetime as dt
 import io
 import json
 import re
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,17 +17,20 @@ from serpsim import (
     SerpDataset,
     ValidationError,
     combined_similarity,
+    dumps_dataset,
     format_matrix,
     impact_sweep,
     kendall_tau_sim,
     load_dataset,
+    load_stopwords,
+    read_matrix,
     similarity_matrix,
     spearman_footrule_sim,
     write_dataset,
 )
 from serpsim import cli, dataset_io, urlnorm
 from serpsim.cli import run_cli
-from tests.conftest import make_list
+from tests.conftest import DATA_DIR, make_list
 
 D1 = dt.date(2019, 7, 1)
 D2 = dt.date(2019, 7, 2)
@@ -33,7 +38,7 @@ D2 = dt.date(2019, 7, 2)
 
 @pytest.fixture
 def grid_file(tmp_path):
-    ds = SerpDataset.from_lists(
+    ds = SerpDataset(
         [
             make_list("ab", engine="x", query="alpha query", date=D1),
             make_list("ab", engine="y", query="alpha query", date=D1),
@@ -296,6 +301,16 @@ UNREAD_FLAGS = [
         for command in ("consistency", "summary")
         for extra in _DATASET_ONLY
     ),
+    ["compare", "{pair_a}", "{pair_b}", "--metric", "jaro", "--weights", "1,1,1"],
+    ["compare", "{pair_a}", "{pair_b}", "--metric", "jarowinkler", "--boost", "none"],
+    ["compare", "--dataset", "{sample}", "--engine-a", "acme", "--engine-b", "bravo",
+     "--query", "climate change", "--date", "2019-07-01",
+     "--metric", "footrule", "--stopwords", "{missing}"],
+    *(
+        ["matrix", "--dataset", "{sample}", "--engine-a", "acme", "--engine-b", "bravo",
+         "--metric", "kendall", *extra]
+        for extra in (["--weights", "0,0,0"], ["--boost", "none"], ["--stopwords", "{missing}"])
+    ),
 ]
 
 
@@ -322,6 +337,54 @@ class TestUnreadFlags:
         }
         assert run_cli([token.format(**paths) for token in argv]) == 1
         assert _last_flag(argv) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["consistency", "summary"])
+    @pytest.mark.parametrize("flag", [["--weights", "0,0,0"], ["--boost", "none"],
+                                      ["--stopwords", "missing.txt"]], ids=lambda f: f[0][2:])
+    def test_rank_only_metric_over_a_dataset_refuses_content_flags(
+        self, command, flag, data_dir, monkeypatch, tmp_path, capsys
+    ):
+        # these rows would repeat the ids of the --matrix rows of UNREAD_FLAGS
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--dataset", str(data_dir / "sample.jsonl"), "--engine-a", "acme",
+                "--engine-b", "bravo", "--metric", "jaro", *flag]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"usage error: --metric jaro cannot be combined with {flag[0]}\n"
+        )
+
+    @pytest.mark.parametrize("argv,message", [
+        (["compare", "{pair_a}", "{pair_b}", "--date-b", "2019-07-02", "--query", "q",
+          "--dataset", "{sample}"],
+         "compare FILE FILE cannot be combined with --dataset, --query, --date-b"),
+        (["summary", "--top-n", "3", "--matrix", "{matrix}", "--metric", "jaro", "-o", "{out}",
+          "--engine-b", "b", "--dataset", "{sample}", "--redirects", "{missing}"],
+         "--matrix cannot be combined with --metric, --redirects, --top-n, --dataset, "
+         "--engine-b"),
+        (["compare", "{pair_a}", "{pair_b}", "--stopwords", "{missing}", "--boost", "0.2",
+          "--weights", "1,1,1", "--metric", "kendall"],
+         "--metric kendall cannot be combined with --weights, --boost, --stopwords"),
+    ], ids=["compare-files", "matrix-file", "rank-only-metric"])
+    def test_message_lists_every_unread_flag_in_parser_order(
+        self, argv, message, data_dir, tmp_path, capsys
+    ):
+        paths = {
+            "sample": str(data_dir / "sample.jsonl"),
+            "matrix": str(tmp_path / "m.tsv"),
+            "missing": str(tmp_path / "missing.txt"),
+            "out": str(tmp_path / "out.txt"),
+            "pair_a": str(data_dir / "pair_a.jsonl"),
+            "pair_b": str(data_dir / "pair_b_same.jsonl"),
+        }
+        assert run_cli([token.format(**paths) for token in argv]) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_rank_only_metric_accepts_content_flags_at_their_defaults(self, data_dir, capsys):
+        argv = ["compare", str(data_dir / "pair_a.jsonl"), str(data_dir / "pair_b_same.jsonl"),
+                "--metric", "kendall", "--weights", "0.8,1.0,0.8"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == "metric\tkendall\nscore\t1.0000\n"
 
     def test_matrix_with_output_is_accepted(self, grid_file, tmp_path, capsys):
         matrix = tmp_path / "m.tsv"
@@ -770,6 +833,20 @@ class TestReadmeExamples:
         assert out == expected
 
 
+class TestReadmeLibraryExample:
+    def test_quick_start_runs_and_prints_score_count_and_boost(self):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        done = subprocess.run([sys.executable, "-c", block], env=env, cwd=REPO_ROOT,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        score, common, boost = done.stdout.splitlines()
+        assert 0.0 <= float(score) <= 1.0
+        assert int(common) == 2
+        assert 0.0 <= float(boost) <= 1.0
+
+
 def _sample_with(data_dir, tmp_path, name, edit=None):
     """The sample dataset written to ``tmp_path / name``, after ``edit(records)``."""
     records = [json.loads(line) for line in
@@ -980,3 +1057,37 @@ def test_matrix_file_with_a_repeated_query_is_refused(tmp_path, capsys, command)
     )
     assert run_cli([command, "--matrix", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {path}:2: repeated query 'q1'\n")
+
+
+def _stdout(capsys, *argv):
+    assert run_cli(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+#: Each reader of a text input file: the bytes of a plain input, and ``read(path, capsys)``.
+BOM_READERS = {
+    "stopwords": (b"solar\npanels\n", lambda path, capsys: load_stopwords(path)),
+    "redirects": ((DATA_DIR / "redirects.tsv").read_bytes(),
+                  lambda path, capsys: RedirectCache.from_file(path)._entries),
+    "normalize-urls": ((DATA_DIR / "urls.txt").read_bytes(),
+                       lambda path, capsys: _stdout(capsys, "normalize-urls", path)),
+    "matrix": (b"# pair\tx\ty\ndate\tq1\n2019-07-01\t0.5000\n",
+               lambda path, capsys: read_matrix(path)),
+    "import-mapping": (
+        (DATA_DIR / "alien_mapping.json").read_bytes(),
+        lambda path, capsys: _stdout(
+            capsys, "import", "--input", str(DATA_DIR / "alien.jsonl"), "--mapping", path
+        ),
+    ),
+    "dataset": ((DATA_DIR / "sample.jsonl").read_bytes(),
+                lambda path, capsys: dumps_dataset(load_dataset(path))),
+}
+
+
+@pytest.mark.parametrize("reader", BOM_READERS)
+def test_leading_byte_order_mark_is_ignored(reader, tmp_path, capsys):
+    data, read = BOM_READERS[reader]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_bytes(data)
+    marked.write_bytes(codecs.BOM_UTF8 + data)
+    assert read(str(marked), capsys) == read(str(plain), capsys)

@@ -314,7 +314,7 @@ class TestRoundTrip:
         assert dumps_dataset(load_dataset(data_dir / "sample.jsonl")) == source
 
     def test_empty_dataset_is_one_newline(self):
-        assert dumps_dataset(SerpDataset({})) == "\n"
+        assert dumps_dataset(SerpDataset([])) == "\n"
 
     def test_write_then_load(self, tmp_path):
         path = write_jsonl(tmp_path, record_line(category="topic"))
@@ -593,7 +593,7 @@ def _datasets(draw):
         )
     queries = sorted({query for _, query, _ in lists})
     categories = {query: draw(st.sampled_from(pool)) for query in queries if draw(st.booleans())}
-    return SerpDataset(lists, categories)
+    return SerpDataset(lists.values(), categories)
 
 
 class TestDumpsMatchesPerRecordReference:

@@ -181,10 +181,6 @@ class TestJaroWinkler:
         boosted = jaro_winkler_similarity("abcdex", "abcdey")
         assert boosted == pytest.approx(base + 3 * 0.1 * (1 - base))
 
-    def test_bad_prefix_params_rejected(self):
-        with pytest.raises(ValidationError):
-            jaro_winkler_similarity("ab", "ab", prefix_scale=0.3, max_prefix=4)
-
     def test_never_below_jaro_and_never_above_one(self):
         a = make_list("abcdef", engine="e1")
         b = make_list("abcdfe", engine="e2")
