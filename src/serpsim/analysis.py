@@ -84,15 +84,6 @@ class SerpDataset:
         return self._records.get((engine, query, date))
 
 
-def _at_one_depth(*datasets: SerpDataset) -> list[SerpDataset]:
-    """``datasets`` with every list cut to the length of the shortest list in any of them."""
-    n = min(ranked.n for dataset in datasets for ranked in dataset._records.values())
-    return [SerpDataset((
-        ranked if ranked.n == n else replace(ranked, results=ranked.results[:n])
-        for ranked in dataset._records.values()
-    ), dataset.categories) for dataset in datasets]
-
-
 def _require_engines(dataset: SerpDataset, *engines: str) -> None:
     known = set(dataset.engines())
     missing = [e for e in engines if e not in known]
@@ -112,6 +103,12 @@ def _earliest_dates(dataset: SerpDataset, engine: str) -> dict[str, dt.date]:
     return earliest
 
 
+def _at_shared_depth(list_a: RankedList, list_b: RankedList) -> tuple[RankedList, RankedList]:
+    """The pair, the deeper list cut to the shorter one's depth: the one depth rule."""
+    n = min(list_a.n, list_b.n)
+    return tuple(r if r.n == n else replace(r, results=r.results[:n]) for r in (list_a, list_b))
+
+
 def _measured(who: str, query: str, dates: tuple, measure: Callable[..., Any], *args: Any) -> Any:
     """``measure(*args)`` for one cell; a ValidationError from it is raised again with
     the cell, ``who, query 'q', date`` (two dates joined by " vs "), named in front."""
@@ -126,8 +123,8 @@ def _grid(
     dataset: SerpDataset, engine_a: str, engine_b: str, measure: Callable[..., Any]
 ) -> tuple[tuple[dt.date, ...], tuple[str, ...], list[tuple[int, int, Any]]]:
     """An engine pair's date and query axes (the sorted unions of each engine's) and
-    ``(row, col, measure(list_a, list_b))`` for each cell both engines have, named by
-    ``_measured``, walked in query-major order, so the cells of one query are adjacent."""
+    ``(row, col, measure(*_at_shared_depth(list_a, list_b)))`` for each cell both engines
+    have, named by ``_measured``, in query-major order: one query's cells are adjacent."""
     _require_engines(dataset, engine_a, engine_b)
     days = tuple(sorted(set(dataset.dates(engine_a)) | set(dataset.dates(engine_b))))
     queries = tuple(sorted(set(dataset.queries(engine_a)) | set(dataset.queries(engine_b))))
@@ -138,6 +135,7 @@ def _grid(
             list_a = dataset.get(engine_a, query, day)
             list_b = dataset.get(engine_b, query, day)
             if list_a is not None and list_b is not None:
+                list_a, list_b = _at_shared_depth(list_a, list_b)
                 cells.append((i, j, _measured(pair, query, (day,), measure, list_a, list_b)))
     return days, queries, cells
 
@@ -172,11 +170,11 @@ def similarity_matrix(
     """Score one engine pair on every (date, query) cell.
 
     Rows are the union of dates, columns the union of queries (both
-    sorted); a cell is None when either engine lacks that list. The
-    default metric is the combined score; pass ``metric_fn`` to grade
-    the same grid with a baseline metric instead. The combined score
-    reads the pair's cached penalties (see ``SerpDataset``), so a later
-    matrix under other weights measures nothing again.
+    sorted); a cell is None when either engine lacks that list, else it
+    compares the two lists at the shorter one's depth. The default metric
+    is the combined score, or ``metric_fn``, a baseline metric. The
+    combined score reads the pair's cached penalties (see ``SerpDataset``),
+    so a later matrix under other weights measures nothing again.
     """
     if metric_fn is None:
         days, queries, measured = _pair_components(dataset, engine_a, engine_b, stopwords)
@@ -330,9 +328,9 @@ def cross_period_drift(
 ) -> dict[str, float]:
     """Self-similarity of one engine between two crawl periods, per query.
 
-    For every query present in both datasets for this engine, compares
-    the old list against the new one with the combined score. Unless
-    pinned, each side uses its earliest available date for that query.
+    For every query in both datasets for this engine, compares the old
+    list against the new one with the combined score, at the shorter
+    one's depth. Unless pinned, each side takes the query's earliest date.
     """
     _require_engines(dataset_old, engine)
     _require_engines(dataset_new, engine)
@@ -349,7 +347,7 @@ def cross_period_drift(
         list_new = dataset_new.get(engine, query, new_date)
         if list_old is None or list_new is None:
             raise ValidationError(f"no record for {engine}/{query} on the requested date")
-        return combined_similarity(list_old, list_new, cfg, stopwords).score
+        return combined_similarity(*_at_shared_depth(list_old, list_new), cfg, stopwords).score
 
     dates = {q: (date_old or first_old[q], date_new or first_new[q]) for q in shared}
     return {q: _measured(engine, q, dates[q], measure, q, *dates[q]) for q in shared}

@@ -124,7 +124,7 @@ def _shared_options() -> tuple[argparse.ArgumentParser, ...]:
     )
     group.add_argument(
         "--top-n", type=int, metavar="N",
-        help="compare the top N results (default: depth of the shortest list)",
+        help="compare the top N results (default: each pair at its shorter list's depth)",
     )
     return weights, content, metric, loading
 
@@ -161,13 +161,12 @@ def _refuse_unread(args: argparse.Namespace, mode: str, *dests: str) -> None:
 
 
 def _datasets(args: argparse.Namespace, *paths: str) -> list[analysis.SerpDataset]:
-    """Each path's dataset, read once, all at one depth: ``--top-n``, else the shortest
-    list in any of them. A rank-only ``--metric`` first refuses the content flags."""
+    """Each path's dataset, read once; ``analysis`` decides the depth of each cell. A
+    rank-only ``--metric`` first refuses the content flags."""
     if getattr(args, "metric", "combined") != "combined":
         _refuse_unread(args, f"--metric {args.metric}", "weights", "boost", "stopwords")
     options = _loader_options(args)
-    datasets = [dataset_io.load_dataset(path, **options) for path in paths]
-    return datasets if args.top_n is not None else analysis._at_one_depth(*datasets)
+    return [dataset_io.load_dataset(path, **options) for path in paths]
 
 
 def _cmd_compare(args: argparse.Namespace) -> str:
@@ -197,6 +196,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
         if list_b is None:
             raise SerpSimError(f"no record for {args.engine_b}/{args.query}/{date_b}")
 
+    list_a, list_b = analysis._at_shared_depth(list_a, list_b)
     lines = [f"metric\t{args.metric}\n"]
     if args.metric == "combined":
         breakdown = combined_similarity(list_a, list_b, _config(args), _stopwords(args))
@@ -324,7 +324,7 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
 def _cmd_import(args: argparse.Namespace) -> str:
     try:
         mapping = json.loads(Path(args.mapping).read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a decoder limit, too
         raise DatasetError(f"mapping is not valid JSON: {exc}", args.mapping) from exc
     if not isinstance(mapping, dict):
         raise DatasetError("mapping must be a JSON object", args.mapping)
@@ -428,7 +428,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         text, out = args.func(args), getattr(args, "output", None)
         if out:
-            Path(out).write_text(text, encoding="utf-8", newline="\n")
+            Path(out).write_bytes(text.encode("utf-8"))  # encoded before out is opened
         else:
             sys.stdout.write(text)
     except BrokenPipeError:

@@ -24,7 +24,7 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
-from .analysis import SerpDataset, _at_one_depth
+from .analysis import SerpDataset
 from .errors import DatasetError, SerpSimError, ValidationError
 from .model import SearchResult, SimilarityMatrix, _unit_cell, validate_ranked_list
 from .urlnorm import _LINE_END, RedirectCache, canonicalize, resolve_redirects
@@ -73,7 +73,7 @@ def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
                 continue
             try:
                 obj = json.loads(line.rstrip("\n"))
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # a decoder limit, too
                 raise DatasetError(f"invalid JSON: {exc}", str(path), lineno) from exc
             if not isinstance(obj, dict):
                 raise DatasetError("each line must be a JSON object", str(path), lineno)
@@ -167,9 +167,9 @@ def load_dataset(
 
     ``normalize`` canonicalizes every URL before lists are validated, so
     near-duplicate URLs collapse; a ``redirect_cache`` implies it and
-    also resolves redirects. When ``expected_n`` is not given, every
-    list is truncated to the depth of the shortest list so all lists
-    compare at equal length. Errors name the file and line.
+    also resolves redirects. Each list keeps its own distinct depth, or
+    at most ``expected_n`` results; the analyses compare a pair at the
+    depth of its shorter list. Errors name the file and line.
     """
     path = Path(path)
     load = _Load(path, normalize, redirect_cache, strict, expected_n)
@@ -211,7 +211,7 @@ def load_dataset(
 
     if not groups:
         raise DatasetError("dataset contains no records", where)
-    return load.dataset() if expected_n is not None else _at_one_depth(load.dataset())[0]
+    return load.dataset()
 
 
 class _Encoded(dict):
@@ -385,8 +385,8 @@ def import_dataset(
     by (engine, query, date) and ranked by the mapped rank values; a
     rank must be a whole number, a URL a string, and the engine, query,
     title, snippet and category strings or numbers. URL normalization
-    and redirect handling match :func:`load_dataset`, but the default
-    depth is each list's own length. Errors name the file and line.
+    and redirect handling, and the depth of each list, match
+    :func:`load_dataset`. Errors name the file and line.
     """
     for key in mapping:
         if key not in _MAPPED_FIELDS and key != "date_format":

@@ -1,6 +1,7 @@
 import datetime as dt
 import itertools
 import statistics
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -124,6 +125,16 @@ class TestSimilarityMatrix:
         with pytest.raises(ValidationError, match="not in dataset"):
             similarity_matrix(grid_dataset, "x", "nope", UNIT)
 
+    def test_pair_of_unequal_depth_is_scored_at_the_shorter_depth(self):
+        ds = short_list_dataset()
+        list_x, list_y = (ds.get(engine, "beta query", D2) for engine in "xy")
+        assert (list_x.n, list_y.n) == (3, 2)
+        at_two = replace(list_x, results=list_x.results[:2])
+        combined = similarity_matrix(ds, "x", "y", UNIT)
+        footrule = similarity_matrix(ds, "x", "y", metric_fn=spearman_footrule_sim)
+        assert combined.cell(D2, "beta query") == combined_similarity(at_two, list_y, UNIT).score
+        assert footrule.cell(D2, "beta query") == spearman_footrule_sim(at_two, list_y)
+
 
 def short_list_dataset() -> SerpDataset:
     """Engines x and y on two queries and two days; y's beta query list on D2 is short."""
@@ -136,32 +147,50 @@ def short_list_dataset() -> SerpDataset:
     return SerpDataset(lists)
 
 
-class TestScoringErrorNamesCell:
-    CELL = "x vs y, query 'beta query', 2019-07-02: lists must be the same length, got 3 and 2"
+def _failing_on(query: str, date_b: dt.date, measure):
+    """``measure``, raising a ValidationError instead for a pair of ``query`` whose
+    second list is from ``date_b``."""
+    def failing(list_a, list_b, *args):
+        if (list_b.query, list_b.date) == (query, date_b):
+            raise ValidationError("cannot score this pair")
+        return measure(list_a, list_b, *args)
+    return failing
 
-    def test_combined_matrix(self):
+
+class TestScoringErrorNamesCell:
+    CELL = "x vs y, query 'beta query', 2019-07-02: cannot score this pair"
+
+    @pytest.fixture
+    def failing_penalties(self, monkeypatch):
+        failing = _failing_on("beta query", D2, analysis.penalty_components)
+        monkeypatch.setattr(analysis, "penalty_components", failing)
+
+    def test_combined_matrix(self, failing_penalties):
         with pytest.raises(ValidationError) as info:
             similarity_matrix(short_list_dataset(), "x", "y", UNIT)
         assert str(info.value) == self.CELL
-        assert "same length" in str(info.value.__cause__)
+        assert str(info.value.__cause__) == "cannot score this pair"
 
     def test_metric_fn_matrix(self):
+        failing = _failing_on("beta query", D2, spearman_footrule_sim)
         with pytest.raises(ValidationError) as info:
-            similarity_matrix(short_list_dataset(), "x", "y", metric_fn=spearman_footrule_sim)
+            similarity_matrix(short_list_dataset(), "x", "y", metric_fn=failing)
         assert str(info.value) == self.CELL
 
-    def test_sweep(self):
+    def test_sweep(self, failing_penalties):
         with pytest.raises(ValidationError) as info:
             impact_sweep(short_list_dataset(), "x", "y", "snippet")
         assert str(info.value) == self.CELL
 
-    def test_failed_pair_is_not_cached(self):
+    def test_failed_pair_is_not_cached(self, failing_penalties):
         ds = short_list_dataset()
         with pytest.raises(ValidationError):
             similarity_matrix(ds, "x", "y", UNIT)
         assert ds._components == {}
 
-    def test_drift(self):
+    def test_drift(self, monkeypatch):
+        failing = _failing_on("beta query", D3, analysis.combined_similarity)
+        monkeypatch.setattr(analysis, "combined_similarity", failing)
         old = SerpDataset([
             make_list("abc", engine="x", query="alpha query", date=D1),
             make_list("abc", engine="x", query="beta query", date=D1),
@@ -173,8 +202,7 @@ class TestScoringErrorNamesCell:
         with pytest.raises(ValidationError) as info:
             cross_period_drift(old, new, "x", UNIT)
         assert str(info.value) == (
-            "x, query 'beta query', 2019-07-01 vs 2019-07-03: "
-            "lists must be the same length, got 3 and 2"
+            "x, query 'beta query', 2019-07-01 vs 2019-07-03: cannot score this pair"
         )
 
     def test_drift_missing_pinned_date(self, grid_dataset):
@@ -232,10 +260,20 @@ def repeating_datasets(draw) -> SerpDataset:
     return SerpDataset(lists)
 
 
+def _cut(ranked: RankedList, n: int) -> RankedList:
+    return replace(ranked, results=ranked.results[:n])
+
+
+def _at_shorter_depth(list_a: RankedList, list_b: RankedList) -> tuple[RankedList, RankedList]:
+    n = min(list_a.n, list_b.n)
+    return _cut(list_a, n), _cut(list_b, n)
+
+
 def _fresh_sweep(dataset, engine_a, engine_b, factor, stopwords):
-    """``impact_sweep``'s base_mean and decrease_pct from fresh per-cell components."""
+    """``impact_sweep``'s base_mean and decrease_pct from fresh per-cell components,
+    each pair at the depth of its shorter list."""
     components = [
-        penalty_components(list_a, list_b, stopwords)
+        penalty_components(*_at_shorter_depth(list_a, list_b), stopwords)
         for day in dataset.dates()
         for query in dataset.queries()
         if (list_a := dataset.get(engine_a, query, day)) is not None
@@ -283,6 +321,89 @@ class TestCachedComponents:
             else:
                 report = impact_sweep(dataset, *engines[:2], factor, stopwords=sw)
                 assert (report.base_mean, report.decrease_pct) == (base, drops)
+
+
+@st.composite
+def one_list_cut(draw) -> tuple[SerpDataset, SerpDataset, analysis.RecordKey]:
+    """A ``repeating_datasets`` dataset of lists at least 2 deep, the same dataset with
+    one of its lists cut shorter, and that list's key."""
+    dataset = draw(repeating_datasets().filter(lambda ds: ds.get(*next(iter(ds))).n > 1))
+    key = draw(st.sampled_from(list(dataset)))
+    depth = draw(st.integers(1, dataset.get(*key).n - 1))
+    cut = SerpDataset(
+        _cut(dataset.get(*k), depth) if k == key else dataset.get(*k) for k in dataset
+    )
+    return dataset, cut, key
+
+
+class TestShortListStaysInItsCells:
+    """Without a given depth, a short list changes only the matrix and sweep cells and
+    the drift queries that hold it, and each of them scores its pair at the shorter
+    list's depth."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(case=one_list_cut(), stopwords=st.sampled_from(STOPWORD_SETS),
+           factor=st.sampled_from(analysis.SWEEP_FACTORS))
+    def test_cutting_one_list_changes_only_what_holds_it(self, case, stopwords, factor):
+        dataset, cut, key = case
+        for engine_a, engine_b in itertools.permutations(dataset.engines(), 2):
+
+            def shorter_pair(query, day):
+                """The cell's pair from ``cut``, if it holds the cut list, else None."""
+                if key[0] in (engine_a, engine_b) and key[1:] == (query, day):
+                    list_a, list_b = cut.get(engine_a, query, day), cut.get(engine_b, query, day)
+                    if list_a is not None and list_b is not None:
+                        return _at_shorter_depth(list_a, list_b)
+                return None
+
+            before = similarity_matrix(dataset, engine_a, engine_b, stopwords=stopwords)
+            after = similarity_matrix(cut, engine_a, engine_b, stopwords=stopwords)
+            assert (after.days, after.queries) == (before.days, before.queries)
+            for day, row_before, row_after in zip(before.days, before.values, after.values):
+                for query, value_before, value_after in zip(before.queries, row_before, row_after):
+                    pair = shorter_pair(query, day)
+                    if pair is None:
+                        assert value_after == value_before
+                    else:
+                        expected = combined_similarity(*pair, DEFAULT_CONFIG, stopwords).score
+                        assert value_after == expected
+            # the sweep reads the components the matrices above measured
+            cells_before = analysis._pair_components(dataset, engine_a, engine_b, stopwords)[2]
+            cells_after = analysis._pair_components(cut, engine_a, engine_b, stopwords)[2]
+            assert [cell[:2] for cell in cells_after] == [cell[:2] for cell in cells_before]
+            for (i, j, comp_before), (_, _, comp_after) in zip(cells_before, cells_after):
+                pair = shorter_pair(after.queries[j], after.days[i])
+                if pair is None:
+                    assert comp_after == comp_before
+                else:
+                    assert comp_after == penalty_components(*pair, stopwords)
+        base, drops = _fresh_sweep(cut, *cut.engines()[:2], factor, stopwords)
+        if base > 0.0:
+            report = impact_sweep(cut, *cut.engines()[:2], factor, stopwords=stopwords)
+            assert (report.base_mean, report.decrease_pct) == (base, drops)
+
+        # drift of the cut list's engine against another engine's lists, renamed
+        engine = key[0]
+        partner = next(e for e in dataset.engines() if e != engine)
+        renamed = SerpDataset(
+            replace(dataset.get(*k), engine=engine) for k in dataset if k[0] == partner
+        )
+        for old, new, old_cut, new_cut in ((dataset, renamed, cut, renamed),
+                                           (renamed, dataset, renamed, cut)):
+            if not set(old.queries(engine)) & set(new.queries(engine)):
+                continue
+            before = cross_period_drift(old, new, engine, stopwords=stopwords)
+            after = cross_period_drift(old_cut, new_cut, engine, stopwords=stopwords)
+            assert after.keys() == before.keys()
+            for query, score in after.items():
+                if query == key[1] and key[2] == min(cut.dates(engine, query)):
+                    pair = _at_shorter_depth(
+                        old_cut.get(engine, query, min(old_cut.dates(engine, query))),
+                        new_cut.get(engine, query, min(new_cut.dates(engine, query))),
+                    )
+                    assert score == combined_similarity(*pair, DEFAULT_CONFIG, stopwords).score
+                else:
+                    assert score == before[query]
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -440,24 +441,31 @@ class TestMatrix:
         expected = similarity_matrix(load_dataset(grid_file), "x", "y", metric_fn=metric_fn)
         assert capsys.readouterr().out == format_matrix(expected)
 
-    def test_short_list_error_names_cell(self, data_dir, tmp_path, capsys):
-        records = [json.loads(line) for line in
-                   (data_dir / "sample.jsonl").read_text(encoding="utf-8").splitlines()]
-        first_bravo = next(r for r in records if r["engine"] == "bravo")
-        first_bravo["results"] = first_bravo["results"][:8]
-        cut = tmp_path / "cut.jsonl"
-        cut.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        code = run_cli(
-            ["matrix", "--dataset", str(cut), "--engine-a", "acme", "--engine-b", "bravo",
-             "--top-n", "10"]
-        )
-        assert code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (
-            f"error: acme vs bravo, query {first_bravo['query']!r}, {first_bravo['date']}: "
-            "lists must be the same length, got 10 and 8\n"
-        )
+    def test_short_list_under_top_n_is_scored_at_its_depth(self, data_dir, tmp_path, capsys):
+        cut = _sample_with(data_dir, tmp_path, "cut.jsonl", _cut_first("bravo", 8))
+        pair = ["--dataset", cut, "--engine-a", "acme", "--engine-b", "bravo"]
+        cell = ["--query", "climate change", "--date", "2019-07-01"]
+        matrix = _stdout(capsys, "matrix", *pair, "--top-n", "10")
+        assert matrix == _stdout(capsys, "matrix", *pair)
+        assert matrix.splitlines()[2].split("\t")[1] == "0.7916"
+        score = _stdout(capsys, "compare", *pair, *cell, "--top-n", "10").splitlines()[1]
+        assert score == "score\t0.7916"
+        assert _stdout(capsys, "compare", *pair, *cell, "--top-n", "8").splitlines()[1] == score
+
+    def test_short_list_changes_only_its_own_cell(self, data_dir, tmp_path, capsys):
+        cut = _sample_with(data_dir, tmp_path, "cut.jsonl", _cut_first("bravo", 8))
+        pair = ["--engine-a", "acme", "--engine-b", "bravo"]
+        before = _stdout(capsys, "matrix", "--dataset", str(data_dir / "sample.jsonl"), *pair)
+        assert run_cli(["matrix", "--dataset", cut, *pair]) == 0
+        after, err = capsys.readouterr()
+        assert err == ""
+        changed = [
+            (row, col, old, new)
+            for row, lines in enumerate(zip(before.splitlines(), after.splitlines()))
+            for col, (old, new) in enumerate(zip(*(line.split("\t") for line in lines)))
+            if old != new
+        ]
+        assert changed == [(2, 1, "0.8282", "0.7916")]
 
 
 class TestConsistencyAndSummary:
@@ -771,6 +779,39 @@ class TestImport:
         assert err.startswith(f"error: {mapping}:")
         assert "mapping is not valid JSON" in err
 
+    @pytest.mark.parametrize(
+        "data", [b"[" * 100_000, b'{"engine": ' + b"1" * 5000 + b"}", b'{"engine": "\xff"}'],
+        ids=["deep", "digits", "bad-byte"],
+    )
+    def test_mapping_past_a_decoder_limit_is_named(self, data_dir, tmp_path, capsys, data):
+        mapping = tmp_path / "mapping.json"
+        mapping.write_bytes(data)
+        code = run_cli(
+            ["import", "--input", str(data_dir / "alien.jsonl"), "--mapping", str(mapping)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {mapping}: mapping is not valid JSON: "
+        )
+
+    def test_failed_encode_keeps_an_existing_output_file(self, tmp_path, capsys):
+        rows = tmp_path / "rows.jsonl"
+        row = {"e": "acme", "q": "q", "d": "2019-07-01", "p": 1, "u": "https://a.com/",
+               "t": "\udc00"}
+        rows.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        mapping = tmp_path / "mapping.json"
+        mapping.write_text(json.dumps(
+            {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "u", "title": "t"}
+        ), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        out.write_bytes(b"kept\n")
+        code = run_cli(
+            ["import", "--input", str(rows), "--mapping", str(mapping), "-o", str(out)]
+        )
+        assert code == 2
+        assert "surrogates not allowed" in capsys.readouterr().err
+        assert out.read_bytes() == b"kept\n"
+
     def test_non_string_date_format_exits_two(self, data_dir, tmp_path, capsys):
         mapping = json.loads((data_dir / "alien_mapping.json").read_text(encoding="utf-8"))
         mapping["date_format"] = 5
@@ -867,8 +908,9 @@ def _cut_first(engine, n):
 
 
 class TestOneDepthPerCommand:
-    """A command compares every list at one depth: ``--top-n``, else the depth of the
-    shortest list in any file it reads."""
+    """A command reads each file once and compares each pair of lists at the depth of
+    the shorter of the two, with or without ``--top-n``: a short list in one file
+    changes no cell it is not part of."""
 
     @staticmethod
     def run(argv, capsys):
@@ -877,35 +919,47 @@ class TestOneDepthPerCommand:
         return code, out, err
 
     def test_drift_over_files_of_different_depth(self, data_dir, tmp_path, capsys):
-        # a cobalt list of 9 sets the new file's depth, though drift reads only acme
+        # a cobalt list of 9, in an engine drift does not read, changes nothing
+        sample = str(data_dir / "sample.jsonl")
         new = _sample_with(data_dir, tmp_path, "x.jsonl", _cut_first("cobalt", 9))
-        argv = ["drift", "--old", str(data_dir / "sample.jsonl"), "--new", new,
-                "--engine", "acme"]
-        default = self.run(argv, capsys)
-        assert default[0] == 0 and default[2] == ""
-        assert default == self.run(argv + ["--top-n", "9"], capsys)
-        assert self.run(argv + ["--top-n", "10"], capsys)[0] == 0
+        argv = ["drift", "--old", sample, "--new", new, "--engine", "acme"]
+        unmodified = self.run(["drift", "--old", sample, "--new", sample, "--engine", "acme"],
+                              capsys)
+        assert unmodified[0] == 0 and unmodified[2] == ""
+        assert self.run(argv, capsys) == unmodified
+        assert self.run(argv + ["--top-n", "10"], capsys) == unmodified
 
     def test_pinned_drift_scores_at_the_shared_depth(self, data_dir, tmp_path, capsys):
+        sample = str(data_dir / "sample.jsonl")
         new = _sample_with(data_dir, tmp_path, "x.jsonl", _cut_first("cobalt", 9))
-        argv = ["drift", "--old", str(data_dir / "sample.jsonl"), "--new", new,
-                "--engine", "acme", "--date-old", "2019-07-01", "--date-new", "2019-07-03"]
+        pinned = ["--engine", "acme", "--date-old", "2019-07-01", "--date-new", "2019-07-03"]
+        argv = ["drift", "--old", sample, "--new", new, *pinned]
         default = self.run(argv, capsys)
         assert default[0] == 0
-        assert default == self.run(argv + ["--top-n", "9"], capsys)
-        assert default[1] != self.run(argv + ["--top-n", "10"], capsys)[1]
+        assert default == self.run(["drift", "--old", sample, "--new", sample, *pinned], capsys)
+        assert default == self.run(argv + ["--top-n", "10"], capsys)
+        assert default[1] != self.run(argv + ["--top-n", "9"], capsys)[1]
 
-    def test_drift_short_list_under_top_n_names_its_cell(self, data_dir, tmp_path, capsys):
+    def test_drift_short_list_under_top_n_is_scored_at_its_depth(
+        self, data_dir, tmp_path, capsys
+    ):
+        sample = str(data_dir / "sample.jsonl")
         new = _sample_with(data_dir, tmp_path, "x.jsonl", _cut_first("acme", 9))
-        argv = ["drift", "--old", str(data_dir / "sample.jsonl"), "--new", new,
-                "--engine", "acme"]
-        assert self.run(argv + ["--top-n", "10"], capsys) == (2, "", (
-            "error: acme, query 'climate change', 2019-07-01 vs 2019-07-01: "
-            "lists must be the same length, got 10 and 9\n"
-        ))
-        default = self.run(argv, capsys)
-        assert default[0] == 0
-        assert default == self.run(argv + ["--top-n", "9"], capsys)
+        pinned = ["--engine", "acme", "--date-old", "2019-07-03", "--date-new", "2019-07-01"]
+        argv = ["drift", "--old", sample, "--new", new, *pinned]
+        code, out, err = self.run(argv + ["--top-n", "10"], capsys)
+        assert (code, err) == (0, "")
+        assert self.run(argv, capsys) == (code, out, err)
+        unmodified = self.run(["drift", "--old", sample, "--new", sample, *pinned], capsys)[1]
+        changed = [new_line for new_line, old_line
+                   in zip(out.splitlines(), unmodified.splitlines()) if new_line != old_line]
+        old_list = load_dataset(sample).get("acme", "climate change", dt.date(2019, 7, 3))
+        new_list = load_dataset(new).get("acme", "climate change", D1)
+        assert new_list.n == 9
+        at_nine = replace(old_list, results=old_list.results[:9])
+        score = combined_similarity(at_nine, new_list).score
+        assert changed[0] == f"climate change\t{score:.4f}"
+        assert [line.split("\t")[0] for line in changed] == ["climate change", "mean"]
 
     @pytest.mark.parametrize("metric", ["combined", "jaro", "jarowinkler"])
     def test_compare_files_of_different_depth(self, data_dir, tmp_path, capsys, metric):

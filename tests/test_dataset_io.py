@@ -141,15 +141,24 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=rf"data\.jsonl:2: bad date '{date}'"):
             load_dataset(path)
 
-    def test_truncates_to_shortest_list(self, tmp_path):
+    def test_keeps_each_list_at_its_own_depth(self, tmp_path):
         path = write_jsonl(
             tmp_path,
             record_line(engine="e1", urls=("a", "b", "c")),
             record_line(engine="e2", urls=("x", "y")),
         )
         ds = load_dataset(path)
-        assert ds.get("e1", "sample query", D1).n == 2
+        assert ds.get("e1", "sample query", D1).n == 3
         assert ds.get("e2", "sample query", D1).n == 2
+
+    @pytest.mark.parametrize(
+        "line", ["[" * 100_000, record_line().replace('"rank": 1', '"rank": ' + "1" * 5000)],
+        ids=["deep", "digits"],
+    )
+    def test_line_past_a_decoder_limit_names_its_line(self, tmp_path, line):
+        path = write_jsonl(tmp_path, record_line(engine="e2"), line)
+        with pytest.raises(DatasetError, match=r"data\.jsonl:2: invalid JSON: "):
+            load_dataset(path)
 
     def test_explicit_depth_wins(self, tmp_path):
         path = write_jsonl(
@@ -1035,9 +1044,9 @@ _FLAT_MAPPING = {"engine": "e", "query": "q", "date": "d", "rank": "p", "url": "
                  "title": "t", "snippet": "s"}
 
 
-def _reference_lists(lines, final, depth):
-    """Each list built from one fresh ``SearchResult`` per row; ``final`` maps a
-    raw URL to its final form, ``depth`` the lists to the depth they keep."""
+def _reference_lists(lines, final):
+    """Each list built from one fresh ``SearchResult`` per row, at its own distinct
+    depth; ``final`` maps a raw URL to its final form."""
     groups = {}
     for obj in lines:
         results = groups.setdefault(
@@ -1048,16 +1057,11 @@ def _reference_lists(lines, final, depth):
                          rank=r["rank"])
             for r in obj["results"]
         )
-    n = depth(groups.values())
     return {
-        key: validate_ranked_list(results, n or len(results), engine=key[0], query=key[1],
+        key: validate_ranked_list(results, len(results), engine=key[0], query=key[1],
                                   date=key[2])
         for key, results in groups.items()
     }
-
-
-def _shortest(lists):
-    return min(len({r.url for r in results}) for results in lists)
 
 
 def _message(exc):
@@ -1081,19 +1085,18 @@ class TestOneResultPerDistinctResult:
             ({"redirect_cache": cache},
              lambda url: urlnorm.resolve_redirects(url, cache, "offline")),
         )
-        formats = (  # texts, the bad one's index, the loader, its default depth
-            ([json.dumps(obj) for obj in lines], bad, load_dataset, _shortest),
+        formats = (  # texts, the bad one's index, the loader
+            ([json.dumps(obj) for obj in lines], bad, load_dataset),
             ([json.dumps(row) for row in _flat_rows(lines)],
              None if bad is None else len(_flat_rows(lines[:bad])),
-             lambda path, **options: import_dataset(path, _FLAT_MAPPING, **options),
-             lambda lists: None),
+             lambda path, **options: import_dataset(path, _FLAT_MAPPING, **options)),
         )
-        for texts, bad_at, load, depth in formats:
+        for texts, bad_at, load in formats:
             path = write_jsonl(tmp_path, *texts)
             for options, final in finals:
                 if bad_at is None:
                     ds = load(path, **options)
-                    expected = _reference_lists(lines, final, depth)
+                    expected = _reference_lists(lines, final)
                     assert {key: ds.get(*key) for key in ds} == expected
                     continue
                 alone = tmp_path / "alone.jsonl"
@@ -1125,7 +1128,7 @@ class TestOneResultPerDistinctResult:
             assert len(kept) == 3 < len(results)
 
 
-# -- the default depth: each list is built once, then cut to the shortest list --
+# -- the default depth: each list keeps its own distinct depth --
 
 
 @st.composite
@@ -1147,12 +1150,12 @@ def _lists_of_unequal_depth(draw):
     ]
 
 
-class TestDefaultDepthIsTheShortestList:
+class TestDefaultDepth:
     @settings(max_examples=1000, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(lines=_lists_of_unequal_depth(), strict=st.booleans(),
            how=st.sampled_from(["plain", "normalize", "redirects"]))
-    def test_default_load_equals_load_at_the_shortest_depth(self, tmp_path, lines, strict, how):
+    def test_each_list_keeps_its_own_distinct_depth(self, tmp_path, lines, strict, how):
         path = write_jsonl(tmp_path, *map(json.dumps, lines))
         cache = RedirectCache(_SHARED_CACHE)
         options, final = {
@@ -1161,8 +1164,12 @@ class TestDefaultDepthIsTheShortestList:
             "redirects": ({"redirect_cache": cache},
                           lambda url: urlnorm.resolve_redirects(url, cache, "offline")),
         }[how]
-        shortest = min(len({final(r["url"]) for r in obj["results"]}) for obj in lines)
+        depths = {
+            (obj["engine"], obj["query"], dt.date.fromisoformat(obj["date"])):
+            len({final(r["url"]) for r in obj["results"]})
+            for obj in lines
+        }
         default = load_dataset(path, strict=strict, **options)
-        at_shortest = load_dataset(path, strict=strict, expected_n=shortest, **options)
-        assert dumps_dataset(default) == dumps_dataset(at_shortest)
-        assert {default.get(*key).n for key in default} == {shortest}
+        at_deepest = load_dataset(path, expected_n=max(depths.values()), **options)
+        assert dumps_dataset(default) == dumps_dataset(at_deepest)
+        assert {key: default.get(*key).n for key in default} == depths
