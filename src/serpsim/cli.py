@@ -37,7 +37,7 @@ from .rank_metrics import (
     spearman_footrule_sim,
 )
 from .textsim import load_stopwords
-from .urlnorm import RedirectCache, _data_lines, _follow_cache, canonicalize
+from .urlnorm import RedirectCache, _data_lines, _follow_cache, _read_text, canonicalize
 
 #: The rank-only baselines ``--metric`` can select instead of ``combined``.
 BASELINE_METRICS = {
@@ -304,7 +304,7 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
     if args.file == "-":
         path, text = "<stdin>", sys.stdin.read()
     else:
-        path, text = args.file, Path(args.file).read_text(encoding="utf-8-sig")
+        path, text = args.file, _read_text(args.file)
     cache = RedirectCache.from_file(args.redirects) if args.redirects else None
     lines = []
     for lineno, url in _data_lines(text):
@@ -322,8 +322,9 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
 
 
 def _cmd_import(args: argparse.Namespace) -> str:
+    text = _read_text(args.mapping)
     try:
-        mapping = json.loads(Path(args.mapping).read_text(encoding="utf-8-sig"))
+        mapping = json.loads(text)
     except (ValueError, RecursionError) as exc:  # a decoder limit, too
         raise DatasetError(f"mapping is not valid JSON: {exc}", args.mapping) from exc
     if not isinstance(mapping, dict):

@@ -27,7 +27,9 @@ from typing import Any, Callable, Iterator, Mapping
 from .analysis import SerpDataset
 from .errors import DatasetError, SerpSimError, ValidationError
 from .model import SearchResult, SimilarityMatrix, _unit_cell, validate_ranked_list
-from .urlnorm import _LINE_END, RedirectCache, canonicalize, resolve_redirects
+from .urlnorm import (
+    _LINE_END, RedirectCache, _read_text, _text_lines, canonicalize, resolve_redirects,
+)
 
 _MATRIX_PAIR_PREFIX = "# pair"
 
@@ -67,17 +69,16 @@ def _parse_date(raw: str, path: str, lineno: int) -> dt.date:
 def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
     """Stream ``(line number, object)`` for each non-blank line. Only ``\\n``,
     ``\\r`` and ``\\r\\n`` end a line, so a raw U+2028 or U+0085 stays in its record."""
-    with path.open(encoding="utf-8-sig") as lines:
-        for lineno, line in enumerate(lines, start=1):
-            if line.isspace():
-                continue
-            try:
-                obj = json.loads(line.rstrip("\n"))
-            except (ValueError, RecursionError) as exc:  # a decoder limit, too
-                raise DatasetError(f"invalid JSON: {exc}", str(path), lineno) from exc
-            if not isinstance(obj, dict):
-                raise DatasetError("each line must be a JSON object", str(path), lineno)
-            yield lineno, obj
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if line.isspace():
+            continue
+        try:
+            obj = json.loads(line.rstrip("\n"))
+        except (ValueError, RecursionError) as exc:  # a decoder limit, too
+            raise DatasetError(f"invalid JSON: {exc}", str(path), lineno) from exc
+        if not isinstance(obj, dict):
+            raise DatasetError("each line must be a JSON object", str(path), lineno)
+        yield lineno, obj
 
 
 class _Load:
@@ -248,7 +249,7 @@ def dumps_dataset(dataset: SerpDataset) -> str:
 
 
 def write_dataset(dataset: SerpDataset, path: str | Path) -> None:
-    Path(path).write_text(dumps_dataset(dataset), encoding="utf-8", newline="\n")
+    Path(path).write_bytes(dumps_dataset(dataset).encode("utf-8"))  # encoded before path is opened
 
 
 def _tsv_line(kind: str, *fields: str) -> str:
@@ -272,7 +273,7 @@ def format_matrix(matrix: SimilarityMatrix) -> str:
 
 
 def write_matrix(matrix: SimilarityMatrix, path: str | Path) -> None:
-    Path(path).write_text(format_matrix(matrix), encoding="utf-8", newline="\n")
+    Path(path).write_bytes(format_matrix(matrix).encode("utf-8"))  # encoded before path is opened
 
 
 def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
@@ -325,8 +326,7 @@ def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
 
 
 def read_matrix(path: str | Path) -> SimilarityMatrix:
-    path = Path(path)
-    return parse_matrix(path.read_text(encoding="utf-8-sig"), str(path))
+    return parse_matrix(_read_text(path), str(path))
 
 
 #: The fields an import mapping names; it may also give a "date_format".

@@ -21,7 +21,7 @@ from typing import Literal
 
 from .errors import ValidationError
 from .model import RankedList
-from .urlnorm import _data_lines
+from .urlnorm import _data_lines, _read_text
 
 # Alphanumeric runs, Unicode-aware; underscore is a separator, not a word char.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -50,7 +50,7 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword file: UTF-8, one word per line, '#' comments."""
-    return _parse_stopword_lines(Path(path).read_text(encoding="utf-8-sig"))
+    return _parse_stopword_lines(_read_text(path))
 
 
 def _drop_set(query: str, stopwords: frozenset[str] | None) -> frozenset[str]:

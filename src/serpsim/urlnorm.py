@@ -50,6 +50,25 @@ _LINE_END = re.compile(r"\r\n?|\n")
 Fetch = Callable[[str], tuple[int, str | None]]
 
 
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text, any byte-order mark dropped; DatasetError at the line of a bad byte."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object is the input after the mark
+        line = len(_LINE_END.split(exc.object[: exc.start].decode("utf-8")))
+        raise DatasetError(f"invalid UTF-8: {exc.reason}", str(path), line) from exc
+
+
+def _text_lines(path: str | Path) -> Iterator[str]:
+    """Stream the lines of :func:`_read_text`, each line end read as ``\\n``."""
+    try:
+        with open(path, encoding="utf-8-sig") as lines:
+            yield from lines
+    except UnicodeDecodeError:
+        _read_text(path)  # names the line of the first bad byte
+        raise
+
+
 def _data_lines(text: str) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` for each line that is neither blank nor a ``#`` comment."""
     for lineno, line in enumerate(_LINE_END.split(text), start=1):
@@ -254,7 +273,7 @@ class RedirectCache:
     def from_file(cls, path: str | Path) -> "RedirectCache":
         """Load a cache from a UTF-8 file of "source<TAB>target" lines."""
         cache = cls()
-        for lineno, line in _data_lines(Path(path).read_text(encoding="utf-8-sig")):
+        for lineno, line in _data_lines(_read_text(path)):
             fields = line.split("\t")
             if len(fields) != 2:
                 raise DatasetError(
@@ -268,7 +287,7 @@ class RedirectCache:
 
     def save(self, path: str | Path) -> None:
         lines = [f"{src}\t{dst}\n" for src, dst in sorted(self._entries.items())]
-        Path(path).write_text("".join(lines), encoding="utf-8")
+        Path(path).write_bytes("".join(lines).encode("utf-8"))  # encoded before path is opened
 
 
 def default_fetch(url: str, timeout: float = 10.0) -> tuple[int, str | None]:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from serpsim import (
+    DatasetError,
     MetricConfig,
     RedirectCache,
     SerpDataset,
@@ -780,8 +781,7 @@ class TestImport:
         assert "mapping is not valid JSON" in err
 
     @pytest.mark.parametrize(
-        "data", [b"[" * 100_000, b'{"engine": ' + b"1" * 5000 + b"}", b'{"engine": "\xff"}'],
-        ids=["deep", "digits", "bad-byte"],
+        "data", [b"[" * 100_000, b'{"engine": ' + b"1" * 5000 + b"}"], ids=["deep", "digits"]
     )
     def test_mapping_past_a_decoder_limit_is_named(self, data_dir, tmp_path, capsys, data):
         mapping = tmp_path / "mapping.json"
@@ -1113,9 +1113,16 @@ def test_matrix_file_with_a_repeated_query_is_refused(tmp_path, capsys, command)
     assert capsys.readouterr() == ("", f"error: {path}:2: repeated query 'q1'\n")
 
 
+class CliFailed(Exception):
+    """``run_cli`` exited non-zero; ``args`` are its exit code and its stderr."""
+
+
 def _stdout(capsys, *argv):
-    assert run_cli(list(argv)) == 0
-    return capsys.readouterr().out
+    code = run_cli(list(argv))
+    out, err = capsys.readouterr()
+    if code != 0:
+        raise CliFailed(code, err)
+    return out
 
 
 #: Each reader of a text input file: the bytes of a plain input, and ``read(path, capsys)``.
@@ -1145,3 +1152,52 @@ def test_leading_byte_order_mark_is_ignored(reader, tmp_path, capsys):
     plain.write_bytes(data)
     marked.write_bytes(codecs.BOM_UTF8 + data)
     assert read(str(marked), capsys) == read(str(plain), capsys)
+
+
+#: Each reader of a text input file: BOM_READERS and the rows of ``import --input``.
+READERS = {
+    **BOM_READERS,
+    "import-input": (
+        (DATA_DIR / "alien.jsonl").read_bytes(),
+        lambda path, capsys: _stdout(
+            capsys, "import", "--input", path, "--mapping", str(DATA_DIR / "alien_mapping.json")
+        ),
+    ),
+}
+
+
+def _refusal(read, path, capsys) -> str:
+    """What ``read`` reports for a file it refuses: ``error: `` and the DatasetError of a
+    library reader, or the stderr of a command, which must exit 2."""
+    with pytest.raises((DatasetError, CliFailed)) as refused:
+        read(str(path), capsys)
+    if isinstance(refused.value, DatasetError):
+        return f"error: {refused.value}\n"
+    code, err = refused.value.args
+    assert code == 2
+    return err
+
+
+@pytest.mark.parametrize("mark", [b"", codecs.BOM_UTF8], ids=["plain", "marked"])
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("reader", READERS)
+def test_bad_byte_names_its_line(reader, end, mark, tmp_path, capsys):
+    data, read = READERS[reader]
+    lines = data.splitlines()
+    lines[1] = b"\xff" + lines[1]
+    path = tmp_path / "bad"
+    path.write_bytes(mark + end.join(lines) + end)
+    message = _refusal(read, path, capsys)
+    assert message.startswith(f"error: {path}:2: invalid UTF-8: ")
+    assert message.count("\n") == 1 and message.endswith("\n")
+
+
+def test_bad_byte_past_the_first_read_chunk_names_its_line(tmp_path):
+    lines = (DATA_DIR / "sample.jsonl").read_bytes().splitlines()
+    lines[-1] = b"\xff" + lines[-1]
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert path.read_bytes().index(b"\xff") > 8 * 1024  # the chunk a text file decodes at once
+    with pytest.raises(DatasetError) as refused:
+        load_dataset(path)
+    assert (refused.value.path, refused.value.line) == (str(path), len(lines))

@@ -456,6 +456,26 @@ class TestMatrixIO:
             parse_matrix(text)
 
 
+def _write_with_lone_surrogate(writer, path):
+    """Write, with ``writer``'s library call, one value that holds ``\\udc00``."""
+    if writer == "dataset":
+        result = SearchResult("https://a.example.com/", "t\udc00", "s", 1)
+        write_dataset(SerpDataset([RankedList("e", "q", D1, (result,))]), path)
+    elif writer == "matrix":
+        write_matrix(SimilarityMatrix(("a", "b\udc00"), (D1,), ("q",), ((0.5,),)), path)
+    else:
+        RedirectCache({"http://a.com/x\udc00": "http://b.com/"}).save(path)
+
+
+@pytest.mark.parametrize("writer", ["dataset", "matrix", "redirects"])
+def test_failed_encode_keeps_an_existing_target(writer, tmp_path):
+    path = tmp_path / "target"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(UnicodeEncodeError, match="surrogates not allowed"):
+        _write_with_lone_surrogate(writer, path)
+    assert path.read_bytes() == b"kept\n"
+
+
 # -- reference: import one row at a time, parsing every date and text as it comes --
 
 _DAYS = (dt.date(2016, 3, 1), dt.date(2019, 7, 1), dt.date(2019, 12, 31))

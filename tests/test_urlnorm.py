@@ -1,8 +1,11 @@
+import codecs
 import http.server
 import ipaddress
 import re
+import tempfile
 import threading
 import urllib.parse
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, note, settings
@@ -18,9 +21,12 @@ from serpsim import (
 )
 from serpsim.urlnorm import (
     DEFAULT_PORTS,
+    _LINE_END,
     _normalize_percent,
+    _read_text,
     _remove_dot_segments,
     _split_netloc,
+    _text_lines,
     default_fetch,
 )
 
@@ -415,6 +421,55 @@ class TestRedirectCache:
         path = tmp_path / "ok.tsv"
         path.write_text("# comment\n\nhttp://a.example.com/\thttp://b.example.com/\n")
         assert len(RedirectCache.from_file(path)) == 1
+
+
+# a character a line may hold: any but a line end or a lone surrogate, often one that
+# str.splitlines() would end a line at
+_LINE_CHAR = st.one_of(
+    st.sampled_from("\u2028\x85\t#a"),
+    st.characters(exclude_categories=["Cs"], exclude_characters="\r\n"),
+)
+_INVALID = [b"\xff", b"\xc3(", b"\xed\xa0\x80"]  # a lone byte, a bad continuation, a surrogate
+_TRUNCATED = "€".encode()[:2]  # a multibyte sequence the end of the file cuts short
+
+
+@st.composite
+def _files_with_one_bad_sequence(draw):
+    """``(clean bytes, the same with one invalid sequence, its line)``. No line is empty,
+    so a ``\\r`` end is never followed by a ``\\n`` that would make it ``\\r\\n``."""
+    lines = draw(st.lists(st.text(_LINE_CHAR, min_size=1, max_size=6), min_size=1, max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    mark = draw(st.sampled_from([b"", codecs.BOM_UTF8]))
+    truncated = draw(st.booleans())
+    if truncated:
+        ends[-1] = ""  # the bad sequence is the last thing in the file
+    k = len(lines) if truncated else draw(st.integers(1, len(lines)))
+    line_start = sum(len(line + end) for line, end in zip(lines[: k - 1], ends))
+    at = len(lines[k - 1]) if truncated else draw(st.integers(0, len(lines[k - 1])))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    head, tail = text[: line_start + at].encode(), text[line_start + at :].encode()
+    bad = _TRUNCATED if truncated else draw(st.sampled_from(_INVALID))
+    return mark + head + tail, mark + head + bad + tail, k
+
+
+class TestReadText:
+    @settings(max_examples=1000, deadline=None)
+    @given(_files_with_one_bad_sequence())
+    def test_bad_sequence_names_its_line(self, files):
+        clean, bad, k = files
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.txt"
+            path.write_bytes(clean)
+            text = _read_text(path)
+            assert text == clean.decode("utf-8-sig")
+            assert "".join(_text_lines(path)) == _LINE_END.sub("\n", text)
+            path.write_bytes(bad)
+            for read in (_read_text, lambda path: list(_text_lines(path))):
+                with pytest.raises(DatasetError) as info:
+                    read(path)
+                assert (info.value.path, info.value.line) == (str(path), k)
+                assert str(info.value).startswith(f"{path}:{k}: invalid UTF-8: ")
 
 
 class TestResolveOffline:
