@@ -15,10 +15,11 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
 from .combined import (
-    PenaltyComponents, combined_similarity, penalty_components, score_from_components,
+    PenaltyComponents, _base_boost, combined_similarity, penalty_components, score_from_components,
 )
 from .errors import ValidationError
 from .model import DEFAULT_CONFIG, MetricConfig, RankedList, SimilarityMatrix
+from .textsim import _kept_in
 
 #: Key identifying one ranked list: (engine, query, date).
 RecordKey = tuple[str, str, dt.date]
@@ -43,8 +44,9 @@ class SerpDataset:
     maps a query to a topic label; it is carried along for reporting and
     never affects any score. The dataset keeps each engine pair's
     ``PenaltyComponents`` once measured, keyed by ``(engine_a, engine_b,
-    stopwords)``: one small object per shared cell, reused by every later
-    matrix and sweep over that pair.
+    stopwords)`` and reused by every later matrix and sweep over that pair,
+    and one content table per query that all its pairs' measuring shares
+    (see ``content_penalty``); both are freed with the dataset.
     """
 
     def __init__(
@@ -58,6 +60,7 @@ class SerpDataset:
             self._records[key] = ranked
         self.categories = dict(categories or {})
         self._components: dict[tuple[str, str, frozenset[str] | None], PairComponents] = {}
+        self._texts: dict = {}  # textsim's content table for this dataset's walks
 
     def __len__(self) -> int:
         return len(self._records)
@@ -105,6 +108,8 @@ def _earliest_dates(dataset: SerpDataset, engine: str) -> dict[str, dt.date]:
 
 def _at_shared_depth(list_a: RankedList, list_b: RankedList) -> tuple[RankedList, RankedList]:
     """The pair, the deeper list cut to the shorter one's depth: the one depth rule."""
+    if list_a.n == list_b.n:
+        return list_a, list_b
     n = min(list_a.n, list_b.n)
     return tuple(r if r.n == n else replace(r, results=r.results[:n]) for r in (list_a, list_b))
 
@@ -152,9 +157,10 @@ def _pair_components(
     key = (engine_a, engine_b, stopwords)
     cached = dataset._components.get(key)
     if cached is None:
-        cached = dataset._components[key] = _grid(
-            dataset, engine_a, engine_b, lambda a, b: penalty_components(a, b, stopwords)
-        )
+        with _kept_in(dataset._texts):
+            cached = dataset._components[key] = _grid(
+                dataset, engine_a, engine_b, lambda a, b: penalty_components(a, b, stopwords)
+            )
     return cached
 
 
@@ -295,9 +301,8 @@ def impact_sweep(
             c=weights.get("transposition", 0.0),
             boost_weights=boost_weights,
         )
-        return statistics.fmean(
-            score_from_components(comp, step_cfg).score for comp in components
-        )
+        parts = (_base_boost(comp, step_cfg) for comp in components)
+        return statistics.fmean(base + boost for base, boost in parts)
 
     base_mean = mean_score({})
     if base_mean <= 0.0:

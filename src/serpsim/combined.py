@@ -103,11 +103,8 @@ def penalty_components(
     snippet = content_penalty(list_a, list_b, "snippet", stopwords)
     title = content_penalty(list_a, list_b, "title", stopwords)
     alignment = RankAlignment.from_lists(list_a, list_b)
-    agreements = tuple(
-        i
-        for i, (url_a, url_b) in enumerate(zip(list_a.urls(), list_b.urls()), start=1)
-        if url_a == url_b
-    )
+    pos_a, pos_b = alignment.pos_a, alignment.pos_b
+    agreements = tuple(sorted(pos_a[url] for url in alignment.common if pos_a[url] == pos_b[url]))
     return PenaltyComponents(
         n=list_a.n,
         common_count=alignment.m,
@@ -118,27 +115,31 @@ def penalty_components(
     )
 
 
+def _base_boost(components: PenaltyComponents, cfg: MetricConfig) -> tuple[float, float]:
+    """The weighted base score and the boost, whose sum is the score: the one
+    boost implementation, for callers that need only the number."""
+    m = components.common_count
+    if m == 0:
+        return 0.0, 0.0
+    deductions = (
+        cfg.a * components.snippet_penalty
+        + cfg.b * components.title_penalty
+        + cfg.c * components.transposition_penalty
+    )
+    base = (3 * m + 1 - deductions) / (3 * components.n + 1)
+    base = 0.0 if base <= 0.0 else 1.0 if base >= 1.0 else base
+    weights, r = cfg.boost_weights, len(cfg.boost_weights)
+    eligible = sum([weights[i - 1] for i in components.agreements if i <= r])
+    return base, eligible * (1.0 - base)
+
+
 def score_from_components(
     components: PenaltyComponents, cfg: MetricConfig = DEFAULT_CONFIG
 ) -> SimilarityBreakdown:
     """Apply weights to pre-measured penalties."""
-    m = components.common_count
-    if m == 0:
-        base = 0.0
-        boost = 0.0
-    else:
-        deductions = (
-            cfg.a * components.snippet_penalty
-            + cfg.b * components.title_penalty
-            + cfg.c * components.transposition_penalty
-        )
-        base = (3 * m + 1 - deductions) / (3 * components.n + 1)
-        base = min(1.0, max(0.0, base))
-        weights, r = cfg.boost_weights, cfg.r
-        eligible = sum(weights[i - 1] for i in components.agreements if i <= r)
-        boost = eligible * (1.0 - base)
+    base, boost = _base_boost(components, cfg)
     return SimilarityBreakdown(
-        common_count=m,
+        common_count=components.common_count,
         snippet_penalty=components.snippet_penalty,
         title_penalty=components.title_penalty,
         transposition_penalty=components.transposition_penalty,

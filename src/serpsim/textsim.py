@@ -12,12 +12,14 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import threading
 from collections import Counter
+from contextlib import contextmanager
 from functools import lru_cache
 from importlib import resources
 from itertools import filterfalse
 from pathlib import Path
-from typing import Literal
+from typing import Iterator, Literal
 
 from .errors import ValidationError
 from .model import RankedList
@@ -100,6 +102,19 @@ def cosine_distance(v1: Counter[str], v2: Counter[str]) -> float:
 # The last (query, stopwords) content_penalty scored, mapped to its drop set,
 # text -> term vector and unordered (text, text) -> distance; a new key replaces it.
 _cache: dict[tuple[str, frozenset[str] | None], tuple[frozenset[str], dict, dict]] = {}
+_lent = threading.local()
+
+
+@contextmanager
+def _kept_in(table: dict) -> Iterator[None]:
+    """Within the block, this thread's content_penalty keeps every key's entry in
+    ``table`` (shaped like ``_cache``), not only the last key in ``_cache``."""
+    saved = getattr(_lent, "table", _cache)
+    _lent.table = table
+    try:
+        yield
+    finally:
+        _lent.table = saved
 
 
 def content_penalty(
@@ -112,9 +127,11 @@ def content_penalty(
 
     Ranges over [0, m] where m is the number of URLs the lists share.
     Iteration follows sorted URL order so the result is bitwise
-    symmetric in its two list arguments. Consecutive calls for one
-    query and stopword set tokenize each text and compare each text
-    pair once; that changes speed, never a result.
+    symmetric in its two list arguments. Each text is tokenized and
+    each text pair compared once per query and stopword set: across
+    all engine pairs a ``SerpDataset`` measures (the dataset keeps the
+    table), else across consecutive calls only. That changes speed,
+    never a result.
     """
     if list_a.n != list_b.n:
         raise ValidationError(
@@ -125,11 +142,13 @@ def content_penalty(
             f"lists answer different queries: {list_a.query!r} vs {list_b.query!r}"
         )
     key = (list_a.query, stopwords)
-    entry = _cache.get(key)
+    table = getattr(_lent, "table", _cache)
+    entry = table.get(key)
     if entry is None:
         entry = (_drop_set(list_a.query, stopwords), {}, {})
-        _cache.clear()
-        _cache[key] = entry
+        if table is _cache:
+            _cache.clear()
+        table[key] = entry
     drop, vectors, distances = entry
 
     def vector(text: str) -> Counter[str]:

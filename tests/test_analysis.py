@@ -1,7 +1,13 @@
 import datetime as dt
+import gc
 import itertools
+import os
 import statistics
+import sys
+import threading
+import weakref
 from dataclasses import replace
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -456,6 +462,14 @@ class TestComponentCacheKey:
         assert footrule.cell(D1, "beta query") == 0.0
 
 
+def _outcome(fn: Callable, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the message of the ValidationError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+
+
 def _panel() -> SerpDataset:
     """Engines x and y on every query and three days; y's content differs on D2."""
     return SerpDataset(
@@ -468,12 +482,114 @@ def _panel() -> SerpDataset:
 
 
 class TestContentCache:
-    def test_holds_the_last_query_only(self):
+    def test_outside_a_dataset_walk_holds_the_last_query_only(self):
         dataset = _panel()
         for stopwords in (None, frozenset({"word"})):
+            for query in QUERIES:
+                combined_similarity(*(dataset.get(e, query, D2) for e in "xy"), UNIT, stopwords)
+                assert list(textsim._cache) == [(query, stopwords)]
+            # a walk keeps its keys in the dataset's table and leaves the module cache be
             similarity_matrix(dataset, "x", "y", stopwords=stopwords)
             impact_sweep(dataset, "y", "x", "title", stopwords=stopwords)
-            assert list(textsim._cache) == [(max(QUERIES), stopwords)]
+            assert list(textsim._cache) == [(QUERIES[-1], stopwords)]
+        drift = cross_period_drift(dataset, _panel(), "x")
+        assert list(textsim._cache) == [(max(QUERIES), None)]
+        assert len(drift) == len(QUERIES)
+
+    def test_threads_keep_their_tables_apart(self):
+        """Threads walking their own datasets and threads scoring outside any walk at
+        once: each key lands in the table of the thread that scored it."""
+        expected = similarity_matrix(_panel(), "x", "y", UNIT)
+        lone = (make_list("abc", engine="x", query="lone query"),
+                make_list("abc", engine="y", query="lone query", flavor="alt"))
+        lone_score = combined_similarity(*lone, UNIT).score
+        wrong = []
+
+        def walk():
+            for _ in range(30):
+                dataset = _panel()
+                try:
+                    got = similarity_matrix(dataset, "x", "y", UNIT)
+                except Exception as exc:  # recorded, so the assertion below reports it
+                    got = exc
+                if got != expected or set(dataset._texts) != {(q, None) for q in QUERIES}:
+                    wrong.append((got, set(dataset._texts)))
+
+        def alone():
+            for _ in range(300):
+                try:
+                    got = combined_similarity(*lone, UNIT).score
+                except Exception as exc:  # recorded, so the assertion below reports it
+                    got = exc
+                if got != lone_score:
+                    wrong.append(got)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=(walk, alone)[i % 2])
+                       for i in range(2 * (os.cpu_count() or 1) + 2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert list(textsim._cache) == [("lone query", None)]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        dataset=repeating_datasets(),
+        stopwords=st.lists(st.sampled_from(STOPWORD_SETS), min_size=2, max_size=2, unique=True),
+        factor=st.sampled_from(analysis.SWEEP_FACTORS),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_shared_table_changes_no_result(self, dataset, stopwords, factor, order):
+        """Every pair's matrix and sweep, in any order and under two stopword sets that
+        take turns, equals the same call on a fresh copy, and each cell equals
+        ``combined_similarity`` of its pair, bit for bit."""
+        jobs = [
+            (kind, pair, sw)
+            for kind in ("matrix", "sweep")
+            for pair in itertools.permutations(dataset.engines(), 2)
+            for sw in stopwords
+        ]
+        order.shuffle(jobs)
+        for kind, (engine_a, engine_b), sw in jobs:
+            if kind == "sweep":
+                sweeps = [_outcome(impact_sweep, ds, engine_a, engine_b, factor, stopwords=sw)
+                          for ds in (dataset, _copy(dataset))]
+                assert sweeps[0] == sweeps[1], (engine_a, engine_b, sw)
+                continue
+            matrix = similarity_matrix(dataset, engine_a, engine_b, stopwords=sw)
+            assert matrix == similarity_matrix(_copy(dataset), engine_a, engine_b, stopwords=sw)
+            for day, row in zip(matrix.days, matrix.values):
+                for query, value in zip(matrix.queries, row):
+                    list_a = dataset.get(engine_a, query, day)
+                    list_b = dataset.get(engine_b, query, day)
+                    if list_a is None or list_b is None:
+                        assert value is None
+                    else:
+                        pair = _at_shorter_depth(list_a, list_b)
+                        expected = combined_similarity(*pair, DEFAULT_CONFIG, sw).score
+                        assert value == expected, (engine_a, engine_b, query, day, sw)
+
+    def test_dataset_table_holds_its_keys_and_is_freed_with_the_dataset(self):
+        dataset = _panel()
+        stopword_sets = (None, frozenset({"word"}))
+        for stopwords in stopword_sets:
+            similarity_matrix(dataset, "x", "y", stopwords=stopwords)
+            impact_sweep(dataset, "y", "x", "title", stopwords=stopwords)
+        assert set(dataset._texts) == {(q, sw) for q in QUERIES for sw in stopword_sets}
+        _, vectors, distances = dataset._texts[QUERIES[0], None]
+        assert distances and len(vectors) == 12
+        vector = next(iter(vectors.values()))
+        refs = (weakref.ref(dataset), weakref.ref(vector))
+        del dataset, vectors, distances, vector
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_each_text_is_tokenized_once_per_query(self, monkeypatch):
         dataset = _panel()

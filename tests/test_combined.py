@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from serpsim import (
     DEFAULT_CONFIG,
@@ -10,6 +12,7 @@ from serpsim import (
     penalty_components,
     score_from_components,
 )
+from serpsim.combined import _base_boost
 from tests.conftest import make_list
 
 UNIT = MetricConfig(a=1.0, b=1.0, c=1.0, boost_weights=(0.15, 0.10, 0.07, 0.03, 0.01))
@@ -166,3 +169,52 @@ class TestPositionBoost:
                 common_count=3, snippet_penalty=0.0, title_penalty=0.0,
                 transposition_penalty=0.0, base_score=1.5, boost=0.0, score=1.5,
             )
+
+
+@st.composite
+def penalty_sets(draw) -> PenaltyComponents:
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, n))
+    return PenaltyComponents(
+        n=n,
+        common_count=m,
+        snippet_penalty=draw(st.floats(0, m)),
+        title_penalty=draw(st.floats(0, m)),
+        transposition_penalty=draw(st.floats(0, 1)),
+        agreements=tuple(sorted(draw(st.sets(st.integers(1, n), max_size=m)))),
+    )
+
+
+# strictly descending, positive and summing to at most 1; () means no boost
+_boost_weights = st.lists(st.integers(1, 100), unique=True, max_size=6).map(
+    lambda ints: tuple(i / 600 for i in sorted(ints, reverse=True))
+)
+
+
+def _reference_base_boost(components: PenaltyComponents, cfg: MetricConfig) -> tuple:
+    """The module docstring's base and boost, written out once more."""
+    m, n = components.common_count, components.n
+    if m == 0:
+        return 0.0, 0.0
+    deductions = (cfg.a * components.snippet_penalty + cfg.b * components.title_penalty
+                  + cfg.c * components.transposition_penalty)
+    base = min(1.0, max(0.0, (3 * m + 1 - deductions) / (3 * n + 1)))
+    weights = enumerate(cfg.boost_weights, start=1)
+    return base, sum(w for i, w in weights if i in components.agreements) * (1.0 - base)
+
+
+class TestBaseBoostKernel:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        components=penalty_sets(),
+        cfg=st.builds(MetricConfig, st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+                      _boost_weights),
+    )
+    @example(PenaltyComponents(3, 0, 0.0, 0.0, 0.0, ()), UNIT)
+    @example(PenaltyComponents(3, 3, 0.5, 1.0, 0.25, (1, 3)), MetricConfig(1.0, 0.5, 0.3))
+    def test_matches_the_formula_and_sums_to_the_breakdown_score(self, components, cfg):
+        base, boost = _base_boost(components, cfg)
+        assert (base, boost) == _reference_base_boost(components, cfg)
+        breakdown = score_from_components(components, cfg)
+        assert (base, boost) == (breakdown.base_score, breakdown.boost)
+        assert base + boost == breakdown.score
