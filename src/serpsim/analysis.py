@@ -45,8 +45,9 @@ class SerpDataset:
     never affects any score. The dataset keeps each engine pair's
     ``PenaltyComponents`` once measured, keyed by ``(engine_a, engine_b,
     stopwords)`` and reused by every later matrix and sweep over that pair,
-    and one content table per query that all its pairs' measuring shares
-    (see ``content_penalty``); both are freed with the dataset.
+    and the content table that ``content_penalty`` keeps while it measures
+    any of its pairs, so each text is tokenized once per query and
+    stopword set across all pairs; both are freed with the dataset.
     """
 
     def __init__(

@@ -329,6 +329,7 @@ def _cmd_import(args: argparse.Namespace) -> str:
         raise DatasetError(f"mapping is not valid JSON: {exc}", args.mapping) from exc
     if not isinstance(mapping, dict):
         raise DatasetError("mapping must be a JSON object", args.mapping)
+    dataset_io._refuse_lone_surrogates(text, args.mapping)
     dataset = dataset_io.import_dataset(args.input, mapping, **_loader_options(args))
     return dataset_io.dumps_dataset(dataset)
 

@@ -99,19 +99,21 @@ def penalty_components(
     list_b: RankedList,
     stopwords: frozenset[str] | None = None,
 ) -> PenaltyComponents:
-    """Measure the config-independent penalties for a pair of lists."""
-    snippet = content_penalty(list_a, list_b, "snippet", stopwords)
-    title = content_penalty(list_a, list_b, "title", stopwords)
+    """Measure the config-independent penalties for a pair of lists, all read
+    off one ``RankAlignment``."""
     alignment = RankAlignment.from_lists(list_a, list_b)
-    pos_a, pos_b = alignment.pos_a, alignment.pos_b
-    agreements = tuple(sorted(pos_a[url] for url in alignment.common if pos_a[url] == pos_b[url]))
+    query = list_a.query
+    if query != list_b.query:
+        raise ValidationError(
+            f"lists answer different queries: {query!r} vs {list_b.query!r}"
+        )
     return PenaltyComponents(
-        n=list_a.n,
+        n=alignment.n,
         common_count=alignment.m,
-        snippet_penalty=snippet,
-        title_penalty=title,
+        snippet_penalty=content_penalty(alignment, "snippet", query, stopwords),
+        title_penalty=content_penalty(alignment, "title", query, stopwords),
         transposition_penalty=transposition_penalty(alignment),
-        agreements=agreements,
+        agreements=tuple(sorted(a.rank for a, b in alignment.shared if a.rank == b.rank)),
     )
 
 

@@ -66,6 +66,23 @@ def _parse_date(raw: str, path: str, lineno: int) -> dt.date:
         raise DatasetError(f"bad date {raw!r}: {exc}", path, lineno) from exc
 
 
+_JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _refuse_lone_surrogates(text: str, path: str, first_line: int = 1) -> None:
+    """DatasetError at the line of the first string in valid JSON ``text`` that holds a
+    lone surrogate, which no output could encode. Only a ``\\ud``/``\\uD`` escape makes
+    one, and no JSON string spans lines, so only a line holding one is decoded again."""
+    for lineno, line in enumerate(_LINE_END.split(text), start=first_line):
+        if "\\ud" in line or "\\uD" in line:
+            for literal in _JSON_STRING.findall(line):
+                try:
+                    json.loads(literal).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    problem = f"lone surrogate {exc.object[exc.start]!r}: {exc.reason}"
+                    raise DatasetError(problem, path, lineno) from None
+
+
 def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
     """Stream ``(line number, object)`` for each non-blank line. Only ``\\n``,
     ``\\r`` and ``\\r\\n`` end a line, so a raw U+2028 or U+0085 stays in its record."""
@@ -78,6 +95,8 @@ def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
             raise DatasetError(f"invalid JSON: {exc}", str(path), lineno) from exc
         if not isinstance(obj, dict):
             raise DatasetError("each line must be a JSON object", str(path), lineno)
+        if "\\" in line:  # only an escape makes a lone surrogate; a 1-char search is cheap
+            _refuse_lone_surrogates(line, str(path), lineno)
         yield lineno, obj
 
 

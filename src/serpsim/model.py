@@ -68,10 +68,6 @@ class RankedList:
     def urls(self) -> tuple[str, ...]:
         return tuple(r.url for r in self.results)
 
-    def positions(self) -> dict[str, int]:
-        """Map each canonical URL to its 1-based rank."""
-        return {r.url: r.rank for r in self.results}
-
 
 @dataclass(frozen=True)
 class MetricConfig:

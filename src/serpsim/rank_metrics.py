@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 from .errors import ValidationError
-from .model import RankedList
+from .model import RankedList, SearchResult
 
 
 def displacement_bound(i: int, n: int) -> int:
@@ -38,17 +38,18 @@ def max_total_displacement(m: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class RankAlignment:
-    """Positions of the URLs two equal-length lists share.
+    """The one pairing of two equal-length lists that every penalty reads.
 
-    ``common`` is sorted for determinism; ``pos_a``/``pos_b`` map each
-    shared URL to its 1-based rank in the respective list.
+    ``shared`` holds, for each URL both lists show and in sorted URL
+    order (for determinism), its result in a and its result in b.
     """
 
-    common: tuple[str, ...]
-    pos_a: dict[str, int]
-    pos_b: dict[str, int]
-    m: int
+    shared: tuple[tuple[SearchResult, SearchResult], ...]
     n: int
+
+    @property
+    def m(self) -> int:
+        return len(self.shared)
 
     @classmethod
     def from_lists(cls, list_a: RankedList, list_b: RankedList) -> "RankAlignment":
@@ -56,19 +57,13 @@ class RankAlignment:
             raise ValidationError(
                 f"lists must be the same length, got {list_a.n} and {list_b.n}"
             )
-        positions_a = list_a.positions()
-        positions_b = list_b.positions()
-        common = tuple(sorted(set(positions_a) & set(positions_b)))
-        return cls(
-            common=common,
-            pos_a={url: positions_a[url] for url in common},
-            pos_b={url: positions_b[url] for url in common},
-            m=len(common),
-            n=list_a.n,
-        )
+        in_b = {r.url: r for r in list_b.results}
+        shared = [(r, in_b[r.url]) for r in list_a.results if r.url in in_b]
+        shared.sort(key=lambda pair: pair[0].url)
+        return cls(tuple(shared), list_a.n)
 
     def total_displacement(self) -> int:
-        return sum(abs(self.pos_a[url] - self.pos_b[url]) for url in self.common)
+        return sum(abs(a.rank - b.rank) for a, b in self.shared)
 
 
 def transposition_penalty(alignment: RankAlignment) -> float:
@@ -98,16 +93,12 @@ def kendall_tau_sim(list_a: RankedList, list_b: RankedList) -> float:
 
     1 - discordant/C(m,2); 1.0 when fewer than two URLs are shared.
     """
-    alignment = RankAlignment.from_lists(list_a, list_b)
-    m = alignment.m
+    shared = RankAlignment.from_lists(list_a, list_b).shared
+    m = len(shared)
     if m < 2:
         return 1.0
-    ordered = sorted(alignment.common, key=lambda url: alignment.pos_a[url])
-    discordant = 0
-    for i in range(m):
-        for j in range(i + 1, m):
-            if alignment.pos_b[ordered[i]] > alignment.pos_b[ordered[j]]:
-                discordant += 1
+    ranks_b = [b.rank for a, b in sorted(shared, key=lambda pair: pair[0].rank)]
+    discordant = sum(x > y for i, x in enumerate(ranks_b) for y in ranks_b[i + 1:])
     return 1.0 - discordant / (m * (m - 1) / 2)
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Iterator, Literal
 
 from .errors import ValidationError
-from .model import RankedList
+from .rank_metrics import RankAlignment
 from .urlnorm import _data_lines, _read_text
 
 # Alphanumeric runs, Unicode-aware; underscore is a separator, not a word char.
@@ -99,56 +99,43 @@ def cosine_distance(v1: Counter[str], v2: Counter[str]) -> float:
     return min(1.0, max(0.0, 1.0 - cos))
 
 
-# The last (query, stopwords) content_penalty scored, mapped to its drop set,
-# text -> term vector and unordered (text, text) -> distance; a new key replaces it.
-_cache: dict[tuple[str, frozenset[str] | None], tuple[frozenset[str], dict, dict]] = {}
 _lent = threading.local()
 
 
 @contextmanager
 def _kept_in(table: dict) -> Iterator[None]:
-    """Within the block, this thread's content_penalty keeps every key's entry in
-    ``table`` (shaped like ``_cache``), not only the last key in ``_cache``."""
-    saved = getattr(_lent, "table", _cache)
+    """Within the block (never nested), this thread's content_penalty keeps each
+    (query, stopwords) key's drop set, text -> term vector and unordered (text, text)
+    -> distance in ``table``; outside any block, each call builds a table of its own."""
     _lent.table = table
     try:
         yield
     finally:
-        _lent.table = saved
+        del _lent.table
 
 
 def content_penalty(
-    list_a: RankedList,
-    list_b: RankedList,
+    alignment: RankAlignment,
     field: ContentField,
+    query: str,
     stopwords: frozenset[str] | None = None,
 ) -> float:
-    """Summed cosine distances of ``field`` over the shared URLs.
+    """Summed cosine distances of ``field`` over the alignment's shared URLs.
 
     Ranges over [0, m] where m is the number of URLs the lists share.
-    Iteration follows sorted URL order so the result is bitwise
-    symmetric in its two list arguments. Each text is tokenized and
-    each text pair compared once per query and stopword set: across
-    all engine pairs a ``SerpDataset`` measures (the dataset keeps the
-    table), else across consecutive calls only. That changes speed,
+    Iteration follows the alignment's sorted URL order, so the result is
+    bitwise symmetric in the two lists. The tokens of ``query``, which
+    both lists answer, are dropped with the stopwords. Each text is
+    tokenized and each text pair compared once per query and stopword
+    set: across all engine pairs a ``SerpDataset`` measures (the dataset
+    keeps the table), else within this call only. That changes speed,
     never a result.
     """
-    if list_a.n != list_b.n:
-        raise ValidationError(
-            f"lists must be the same length, got {list_a.n} and {list_b.n}"
-        )
-    if list_a.query != list_b.query:
-        raise ValidationError(
-            f"lists answer different queries: {list_a.query!r} vs {list_b.query!r}"
-        )
-    key = (list_a.query, stopwords)
-    table = getattr(_lent, "table", _cache)
+    table = getattr(_lent, "table", {})  # outside a dataset walk: this call's own
+    key = (query, stopwords)
     entry = table.get(key)
     if entry is None:
-        entry = (_drop_set(list_a.query, stopwords), {}, {})
-        if table is _cache:
-            _cache.clear()
-        table[key] = entry
+        entry = table[key] = (_drop_set(query, stopwords), {}, {})
     drop, vectors, distances = entry
 
     def vector(text: str) -> Counter[str]:
@@ -165,9 +152,4 @@ def content_penalty(
             d = distances[pair] = cosine_distance(vector(a), vector(b))
         return d
 
-    text_a = {r.url: getattr(r, field) for r in list_a.results}
-    text_b = {r.url: getattr(r, field) for r in list_b.results}
-    return sum(
-        distance(text_a[url], text_b[url])
-        for url in sorted(text_a.keys() & text_b.keys())
-    )
+    return sum(distance(getattr(a, field), getattr(b, field)) for a, b in alignment.shared)

@@ -14,6 +14,7 @@ import re
 import string
 import unicodedata
 import urllib.parse
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterator, Literal
 
@@ -60,12 +61,21 @@ def _read_text(path: str | Path) -> str:
 
 
 def _text_lines(path: str | Path) -> Iterator[str]:
-    """Stream the lines of :func:`_read_text`, each line end read as ``\\n``."""
+    """Stream the lines of :func:`_read_text`, each line end read as ``\\n``. Every
+    complete line before a bad byte is yielded before its error is raised, so a
+    reader that checks each line reports the first bad line."""
+    done = 0
     try:
         with open(path, encoding="utf-8-sig") as lines:
-            yield from lines
+            for done, line in enumerate(lines, start=1):
+                yield line
     except UnicodeDecodeError:
-        _read_text(path)  # names the line of the first bad byte
+        try:
+            _read_text(path)
+        except DatasetError as exc:  # names the line of the first bad byte
+            with open(path, encoding="utf-8-sig", errors="replace") as lines:
+                yield from islice(lines, done, exc.line - 1)  # its chunk's lines before it
+            raise
         raise
 
 

@@ -481,24 +481,47 @@ def _panel() -> SerpDataset:
     )
 
 
+def _tables_held() -> list:
+    """Every content table ``textsim`` holds: module-level dicts, and the table this
+    thread has lent it."""
+    module = [name for name, value in vars(textsim).items()
+              if isinstance(value, dict) and not name.startswith("__")]
+    lent = getattr(textsim._lent, "table", None)
+    return module + ([] if lent is None else [lent])
+
+
+@pytest.fixture
+def tokenized(monkeypatch) -> list:
+    """Each text ``textsim.tokenize`` is called with, in call order."""
+    texts = []
+    tokenize = textsim.tokenize
+
+    def counting(text, *args):
+        texts.append(text)
+        return tokenize(text, *args)
+
+    monkeypatch.setattr(textsim, "tokenize", counting)
+    return texts
+
+
 class TestContentCache:
-    def test_outside_a_dataset_walk_holds_the_last_query_only(self):
+    def test_outside_a_walk_textsim_holds_no_table(self):
         dataset = _panel()
+        assert _tables_held() == []
         for stopwords in (None, frozenset({"word"})):
             for query in QUERIES:
                 combined_similarity(*(dataset.get(e, query, D2) for e in "xy"), UNIT, stopwords)
-                assert list(textsim._cache) == [(query, stopwords)]
-            # a walk keeps its keys in the dataset's table and leaves the module cache be
+                assert _tables_held() == []
             similarity_matrix(dataset, "x", "y", stopwords=stopwords)
             impact_sweep(dataset, "y", "x", "title", stopwords=stopwords)
-            assert list(textsim._cache) == [(QUERIES[-1], stopwords)]
+            assert _tables_held() == []
         drift = cross_period_drift(dataset, _panel(), "x")
-        assert list(textsim._cache) == [(max(QUERIES), None)]
+        assert _tables_held() == []
         assert len(drift) == len(QUERIES)
 
     def test_threads_keep_their_tables_apart(self):
         """Threads walking their own datasets and threads scoring outside any walk at
-        once: each key lands in the table of the thread that scored it."""
+        once: each gets exact results, and none is left holding a table."""
         expected = similarity_matrix(_panel(), "x", "y", UNIT)
         lone = (make_list("abc", engine="x", query="lone query"),
                 make_list("abc", engine="y", query="lone query", flavor="alt"))
@@ -512,8 +535,8 @@ class TestContentCache:
                     got = similarity_matrix(dataset, "x", "y", UNIT)
                 except Exception as exc:  # recorded, so the assertion below reports it
                     got = exc
-                if got != expected or set(dataset._texts) != {(q, None) for q in QUERIES}:
-                    wrong.append((got, set(dataset._texts)))
+                if got != expected or _tables_held():
+                    wrong.append((got, _tables_held()))
 
         def alone():
             for _ in range(300):
@@ -521,8 +544,8 @@ class TestContentCache:
                     got = combined_similarity(*lone, UNIT).score
                 except Exception as exc:  # recorded, so the assertion below reports it
                     got = exc
-                if got != lone_score:
-                    wrong.append(got)
+                if got != lone_score or _tables_held():
+                    wrong.append((got, _tables_held()))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -537,7 +560,7 @@ class TestContentCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        assert list(textsim._cache) == [("lone query", None)]
+        assert _tables_held() == []
 
     @settings(max_examples=1000, deadline=None)
     @given(
@@ -576,33 +599,37 @@ class TestContentCache:
                         expected = combined_similarity(*pair, DEFAULT_CONFIG, sw).score
                         assert value == expected, (engine_a, engine_b, query, day, sw)
 
-    def test_dataset_table_holds_its_keys_and_is_freed_with_the_dataset(self):
+    def test_dataset_table_holds_its_keys_and_is_freed_with_the_dataset(self, monkeypatch):
+        vectors = []  # a weak reference to each vector tokenize made
+        tokenize = textsim.tokenize
+
+        def keeping(*args):
+            vector = tokenize(*args)
+            vectors.append(weakref.ref(vector))
+            return vector
+
+        monkeypatch.setattr(textsim, "tokenize", keeping)
         dataset = _panel()
         stopword_sets = (None, frozenset({"word"}))
         for stopwords in stopword_sets:
             similarity_matrix(dataset, "x", "y", stopwords=stopwords)
+        assert len(vectors) == 12 * len(QUERIES) * len(stopword_sets)
+        # the other engine order is measured afresh, from every key's kept vectors
+        for stopwords in stopword_sets:
             impact_sweep(dataset, "y", "x", "title", stopwords=stopwords)
-        assert set(dataset._texts) == {(q, sw) for q in QUERIES for sw in stopword_sets}
-        _, vectors, distances = dataset._texts[QUERIES[0], None]
-        assert distances and len(vectors) == 12
-        vector = next(iter(vectors.values()))
-        refs = (weakref.ref(dataset), weakref.ref(vector))
-        del dataset, vectors, distances, vector
+        assert len(vectors) == 12 * len(QUERIES) * len(stopword_sets)
+        assert all(ref() is not None for ref in vectors)
+        refs = [weakref.ref(dataset)] + vectors
+        del dataset
         gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+        assert [ref() for ref in refs] == [None] * len(refs)
 
-    def test_each_text_is_tokenized_once_per_query(self, monkeypatch):
+    def test_each_text_is_tokenized_once_per_query(self, tokenized):
+        """Once per dataset: both engine orders and a sweep add no call."""
         dataset = _panel()
-        tokenized = []
-        tokenize = textsim.tokenize
-
-        def counting(text, *args):
-            tokenized.append(text)
-            return tokenize(text, *args)
-
-        monkeypatch.setattr(textsim, "tokenize", counting)
-        textsim._cache.clear()
         similarity_matrix(dataset, "x", "y")
+        similarity_matrix(dataset, "y", "x")
+        impact_sweep(dataset, "x", "y", "snippet")
         texts_per_query = [
             {text for key in dataset if key[1] == query
              for r in dataset.get(*key).results for text in (r.title, r.snippet)}

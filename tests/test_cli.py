@@ -794,6 +794,18 @@ class TestImport:
             f"error: {mapping}: mapping is not valid JSON: "
         )
 
+    def test_lone_surrogate_in_a_mapping_const_names_its_line(self, data_dir, tmp_path, capsys):
+        mapping = json.loads((data_dir / "alien_mapping.json").read_text(encoding="utf-8"))
+        mapping["category"] = {"const": "\ud800"}
+        path = tmp_path / "mapping.json"
+        path.write_text(json.dumps(mapping, indent=1), encoding="utf-8")
+        k = 1 + path.read_text(encoding="utf-8").splitlines().index('  "const": "\\ud800"')
+        code = run_cli(["import", "--input", str(data_dir / "alien.jsonl"), "--mapping", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{k}: lone surrogate '\\ud800': surrogates not allowed\n"
+        )
+
     def test_failed_encode_keeps_an_existing_output_file(self, tmp_path, capsys):
         rows = tmp_path / "rows.jsonl"
         row = {"e": "acme", "q": "q", "d": "2019-07-01", "p": 1, "u": "https://a.com/",

@@ -160,6 +160,35 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r"data\.jsonl:2: invalid JSON: "):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "line_8, line_9, error",
+        [(b'{"engine": "e', b"\xe2\x82", "8: invalid JSON: "),
+         (b"\xe2\x82", b'{"engine": "e', "8: invalid UTF-8: ")],
+        ids=["json-then-utf8", "utf8-then-json"],
+    )
+    def test_first_bad_line_is_named_within_one_read_chunk(self, tmp_path, line_8, line_9, error):
+        lines = [record_line(engine=f"e{i}").encode() for i in range(7)] + [line_8, line_9]
+        path = tmp_path / "big.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert path.stat().st_size < 8 * 1024  # the chunk a text file decodes at once
+        with pytest.raises(DatasetError, match=rf"big\.jsonl:{error}"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("escape", ["\\ud800", "\\uDC00", "\\ud83d x", "\\ude00\\ud83d"])
+    @pytest.mark.parametrize("field", ["query", "title"])
+    def test_lone_surrogate_names_its_line(self, tmp_path, field, escape):
+        line = record_line(query="sample query", urls=("a",))
+        line = line.replace('"sample query"' if field == "query" else '"ta"', f'"q{escape}"')
+        path = write_jsonl(tmp_path, record_line(engine="e2"), line)
+        with pytest.raises(DatasetError, match=r"data\.jsonl:2: lone surrogate '\\ud"):
+            load_dataset(path)
+
+    def test_escaped_pair_and_escaped_backslash_load(self, tmp_path):
+        line = record_line(query="sample query", urls=("a",))
+        line = line.replace('"ta"', '"\\ud83d\\ude00 \\\\ud800"')
+        ds = load_dataset(write_jsonl(tmp_path, line))
+        assert ds.get("e1", "sample query", D1).results[0].title == "\U0001f600 \\ud800"
+
     def test_explicit_depth_wins(self, tmp_path):
         path = write_jsonl(
             tmp_path,
@@ -786,6 +815,15 @@ class TestImport:
         path = write_jsonl(tmp_path, json.dumps({"q": "a", "d": "2019-07-01", "p": 1, "u": "https://x.example.com"}))
         mapping = {"engine": "missing", "query": "q", "date": "d", "rank": "p", "url": "u"}
         with pytest.raises(DatasetError, match=r"data\.jsonl:1.*missing"):
+            import_dataset(path, mapping)
+
+    def test_lone_surrogate_in_a_row_names_its_line(self, tmp_path):
+        rows = [{"q": "a", "d": "2019-07-01", "p": p, "u": f"https://{p}.example.com", "t": t}
+                for p, t in ((1, "\U0001f600"), (2, "\udc00"))]
+        path = write_jsonl(tmp_path, *map(json.dumps, rows))
+        mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u",
+                   "title": "t"}
+        with pytest.raises(DatasetError, match=r"data\.jsonl:2: lone surrogate '\\udc00'"):
             import_dataset(path, mapping)
 
     def test_const_and_rank_coercion(self, tmp_path):

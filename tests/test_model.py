@@ -59,8 +59,6 @@ class TestRankedList:
             "https://b.example.com/page",
             "https://c.example.com/page",
         )
-        assert ranked.positions()["https://b.example.com/page"] == 2
-        assert ranked.positions()["https://c.example.com/page"] == 3
 
     def test_rank_gap_rejected(self):
         with pytest.raises(ValidationError, match="ranks"):

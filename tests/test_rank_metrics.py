@@ -1,8 +1,13 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from serpsim import (
     RankAlignment,
     ValidationError,
+    penalty_components,
     displacement_bound,
     jaro_sim,
     jaro_similarity,
@@ -14,6 +19,7 @@ from serpsim import (
     transposition_penalty,
 )
 from tests.conftest import make_list
+from tests.test_acceptance import TestCriterion4DisplacementBoundOracle as _Criterion4
 
 
 def align(keys_a: str, keys_b: str) -> RankAlignment:
@@ -54,10 +60,22 @@ class TestAlignment:
         a = align("abcdef", "defabc")
         assert a.m == 6 and a.n == 6
         assert a.total_displacement() == 18
+        assert [(x.url[8], x.rank, y.rank) for x, y in a.shared] == [
+            ("a", 1, 4), ("b", 2, 5), ("c", 3, 6), ("d", 4, 1), ("e", 5, 2), ("f", 6, 3)
+        ]
+
+    def test_shared_pairs_each_url_with_both_results_in_url_order(self):
+        list_a = make_list("cabd", engine="e1", flavor="plain")
+        list_b = make_list("dxcy", engine="e2", flavor="alt")
+        a = RankAlignment.from_lists(list_a, list_b)
+        assert a.shared == (
+            (list_a.results[0], list_b.results[2]), (list_a.results[3], list_b.results[0])
+        )
+        assert a.m == 2 and a.n == 4
 
     def test_no_overlap(self):
         a = align("abc", "xyz")
-        assert a.m == 0 and a.common == ()
+        assert a.m == 0 and a.shared == ()
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="length"):
@@ -185,3 +203,46 @@ class TestJaroWinkler:
         a = make_list("abcdef", engine="e1")
         b = make_list("abcdfe", engine="e2")
         assert jaro_sim(a, b) <= jaro_winkler_sim(a, b) <= 1.0
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        # each list's URLs, drawn from a pool of 9 keys so that any overlap occurs
+        order_a=st.permutations("abcdefghi"),
+        order_b=st.permutations("abcdefghi"),
+    )
+    def test_rank_metrics_and_one_alignment_per_cell(self, n, order_a, order_b):
+        list_a = make_list("".join(order_a[:n]), engine="e1")
+        list_b = make_list("".join(order_b[:n]), engine="e2", flavor="alt")
+        urls_a, urls_b = list(list_a.urls()), list(list_b.urls())
+        shared = [url for url in urls_a if url in urls_b]
+        m = len(shared)
+
+        discordant = sum(
+            (urls_a.index(u) - urls_a.index(v)) * (urls_b.index(u) - urls_b.index(v)) < 0
+            for u, v in combinations(shared, 2)
+        )
+        assert kendall_tau_sim(list_a, list_b) == (
+            1.0 if m < 2 else 1.0 - discordant / (m * (m - 1) / 2)
+        )
+
+        bound = _Criterion4.brute_force(m, n)
+        moved = sum(abs(urls_a.index(url) - urls_b.index(url)) for url in shared)
+        alignment = RankAlignment.from_lists(list_a, list_b)
+        assert transposition_penalty(alignment) == (moved / bound if bound else 0.0)
+
+        original = vars(RankAlignment)["from_lists"]
+        built = []
+
+        def counting(cls, *lists):
+            built.append(lists)
+            return original.__func__(cls, *lists)
+
+        RankAlignment.from_lists = classmethod(counting)
+        try:
+            penalty_components(list_a, list_b)
+        finally:
+            RankAlignment.from_lists = original
+        assert built == [(list_a, list_b)]

@@ -465,11 +465,14 @@ class TestReadText:
             assert text == clean.decode("utf-8-sig")
             assert "".join(_text_lines(path)) == _LINE_END.sub("\n", text)
             path.write_bytes(bad)
-            for read in (_read_text, lambda path: list(_text_lines(path))):
+            streamed = []
+            for read in (_read_text, lambda path: streamed.extend(_text_lines(path))):
                 with pytest.raises(DatasetError) as info:
                     read(path)
                 assert (info.value.path, info.value.line) == (str(path), k)
                 assert str(info.value).startswith(f"{path}:{k}: invalid UTF-8: ")
+            # every line before the bad one was streamed first
+            assert streamed == [line + "\n" for line in _LINE_END.split(text)[: k - 1]]
 
 
 class TestResolveOffline:
