@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as dt
 import statistics
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .combined import (
     PenaltyComponents, _base_boost, combined_similarity, penalty_components, score_from_components,
@@ -115,35 +115,41 @@ def _at_shared_depth(list_a: RankedList, list_b: RankedList) -> tuple[RankedList
     return tuple(r if r.n == n else replace(r, results=r.results[:n]) for r in (list_a, list_b))
 
 
-def _measured(who: str, query: str, dates: tuple, measure: Callable[..., Any], *args: Any) -> Any:
-    """``measure(*args)`` for one cell; a ValidationError from it is raised again with
-    the cell, ``who, query 'q', date`` (two dates joined by " vs "), named in front."""
-    try:
-        return measure(*args)
-    except ValidationError as exc:
-        cell = f"{who}, query {query!r}, {' vs '.join(map(str, dates))}"
-        raise ValidationError(f"{cell}: {exc}") from exc
+def _cell(who: str, query: str, dates: tuple) -> str:
+    """A cell's name in an error: ``who, query 'q', date`` (two dates joined by " vs ")."""
+    return f"{who}, query {query!r}, {' vs '.join(map(str, dates))}"
+
+
+def _walk(who: str, cells: Iterable[tuple], measure: Callable[..., Any]) -> Iterator[tuple]:
+    """``(key, outcome)`` for each ``(key, query, dates, list_a, list_b)`` cell, in order:
+    None if either list is missing, else ``measure(*_at_shared_depth(list_a, list_b))``,
+    whose ValidationError is raised again with the cell's ``_cell`` name in front."""
+    for key, query, dates, list_a, list_b in cells:
+        outcome = None
+        if list_a is not None and list_b is not None:
+            try:
+                outcome = measure(*_at_shared_depth(list_a, list_b))
+            except ValidationError as exc:
+                raise ValidationError(f"{_cell(who, query, dates)}: {exc}") from exc
+        yield key, outcome
 
 
 def _grid(
     dataset: SerpDataset, engine_a: str, engine_b: str, measure: Callable[..., Any]
 ) -> tuple[tuple[dt.date, ...], tuple[str, ...], list[tuple[int, int, Any]]]:
     """An engine pair's date and query axes (the sorted unions of each engine's) and
-    ``(row, col, measure(*_at_shared_depth(list_a, list_b)))`` for each cell both engines
-    have, named by ``_measured``, in query-major order: one query's cells are adjacent."""
+    ``(row, col, outcome)`` for each cell that ``_walk`` measures, in query-major order:
+    one query's cells are adjacent, and the first bad cell in that order raises."""
     _require_engines(dataset, engine_a, engine_b)
     days = tuple(sorted(set(dataset.dates(engine_a)) | set(dataset.dates(engine_b))))
     queries = tuple(sorted(set(dataset.queries(engine_a)) | set(dataset.queries(engine_b))))
-    pair = f"{engine_a} vs {engine_b}"
-    cells = []
-    for j, query in enumerate(queries):
-        for i, day in enumerate(days):
-            list_a = dataset.get(engine_a, query, day)
-            list_b = dataset.get(engine_b, query, day)
-            if list_a is not None and list_b is not None:
-                list_a, list_b = _at_shared_depth(list_a, list_b)
-                cells.append((i, j, _measured(pair, query, (day,), measure, list_a, list_b)))
-    return days, queries, cells
+    cells = (
+        ((i, j), q, (d,), dataset.get(engine_a, q, d), dataset.get(engine_b, q, d))
+        for j, q in enumerate(queries)
+        for i, d in enumerate(days)
+    )
+    walked = _walk(f"{engine_a} vs {engine_b}", cells, measure)
+    return days, queries, [(i, j, outcome) for (i, j), outcome in walked if outcome is not None]
 
 
 def _pair_components(
@@ -334,9 +340,9 @@ def cross_period_drift(
 ) -> dict[str, float]:
     """Self-similarity of one engine between two crawl periods, per query.
 
-    For every query in both datasets for this engine, compares the old
-    list against the new one with the combined score, at the shorter
-    one's depth. Unless pinned, each side takes the query's earliest date.
+    For every query in both datasets for this engine, ``_walk`` scores the
+    old list against the new one at the shorter one's depth. Unless pinned,
+    each side takes the query's earliest date; a missing list is an error.
     """
     _require_engines(dataset_old, engine)
     _require_engines(dataset_new, engine)
@@ -348,12 +354,16 @@ def cross_period_drift(
             f"datasets share no queries for engine {engine!r}"
         )
 
-    def measure(query: str, old_date: dt.date, new_date: dt.date) -> float:
-        list_old = dataset_old.get(engine, query, old_date)
-        list_new = dataset_new.get(engine, query, new_date)
-        if list_old is None or list_new is None:
-            raise ValidationError(f"no record for {engine}/{query} on the requested date")
-        return combined_similarity(*_at_shared_depth(list_old, list_new), cfg, stopwords).score
-
     dates = {q: (date_old or first_old[q], date_new or first_new[q]) for q in shared}
-    return {q: _measured(engine, q, dates[q], measure, q, *dates[q]) for q in shared}
+    cells = (
+        (q, q, (old, new), dataset_old.get(engine, q, old), dataset_new.get(engine, q, new))
+        for q, (old, new) in dates.items()
+    )
+    walked = _walk(engine, cells, lambda a, b: combined_similarity(a, b, cfg, stopwords).score)
+    scores = {}
+    for query, score in walked:
+        if score is None:
+            missing = f"no record for {engine}/{query} on the requested date"
+            raise ValidationError(f"{_cell(engine, query, dates[query])}: {missing}")
+        scores[query] = score
+    return scores

@@ -37,7 +37,10 @@ from .rank_metrics import (
     spearman_footrule_sim,
 )
 from .textsim import load_stopwords
-from .urlnorm import RedirectCache, _data_lines, _follow_cache, _read_text, canonicalize
+from .urlnorm import (
+    _LINE_END, RedirectCache, _data_lines, _decode, _follow_cache, _read_text, _text_lines,
+    canonicalize,
+)
 
 #: The rank-only baselines ``--metric`` can select instead of ``combined``.
 BASELINE_METRICS = {
@@ -301,13 +304,13 @@ def _cmd_drift(args: argparse.Namespace) -> str:
 
 
 def _cmd_normalize_urls(args: argparse.Namespace) -> str:
-    if args.file == "-":
-        path, text = "<stdin>", sys.stdin.read()
-    else:
-        path, text = args.file, _read_text(args.file)
     cache = RedirectCache.from_file(args.redirects) if args.redirects else None
+    if args.file == "-":
+        path, urls = "<stdin>", _LINE_END.split(_decode(sys.stdin.buffer.read(), "<stdin>"))
+    else:
+        path, urls = args.file, _text_lines(args.file)
     lines = []
-    for lineno, url in _data_lines(text):
+    for lineno, url in _data_lines(urls):
         try:
             canonical = canonicalize(
                 url.strip(), sort_query=args.sort_query, strip_www=args.strip_www

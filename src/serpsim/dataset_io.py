@@ -22,13 +22,13 @@ import io
 import json
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .analysis import SerpDataset
 from .errors import DatasetError, SerpSimError, ValidationError
 from .model import SearchResult, SimilarityMatrix, _unit_cell, validate_ranked_list
 from .urlnorm import (
-    _LINE_END, RedirectCache, _read_text, _text_lines, canonicalize, resolve_redirects,
+    _LINE_END, RedirectCache, _text_lines, canonicalize, resolve_redirects,
 )
 
 _MATRIX_PAIR_PREFIX = "# pair"
@@ -297,18 +297,24 @@ def write_matrix(matrix: SimilarityMatrix, path: str | Path) -> None:
 
 def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
     """Parse :func:`format_matrix` text; only ``\\n``, ``\\r`` and ``\\r\\n`` end a line."""
-    lines = _LINE_END.split(text)
-    if not lines[-1]:
-        del lines[-1]
-    if not lines or not lines[0].startswith(_MATRIX_PAIR_PREFIX + "\t"):
+    return _matrix_from_lines(io.StringIO(text, newline=None), source)
+
+
+def _matrix_from_lines(lines: Iterable[str], source: str) -> SimilarityMatrix:
+    """Parse the lines of :func:`format_matrix` text, each ending in ``\\n`` but the last,
+    one at a time, so that a line's error is raised before a later line is read."""
+    lines = (line.rstrip("\n") for line in lines)
+    pair_line = next(lines, "")
+    if not pair_line.startswith(_MATRIX_PAIR_PREFIX + "\t"):
         raise DatasetError(f"missing '{_MATRIX_PAIR_PREFIX}' header line", source, 1)
-    pair_fields = lines[0].split("\t")
+    pair_fields = pair_line.split("\t")
     if len(pair_fields) != 3:
         raise DatasetError("pair line must name exactly two engines", source, 1)
     engine_pair = (pair_fields[1], pair_fields[2])
-    if len(lines) < 2:
+    header_line = next(lines, None)
+    if header_line is None:
         raise DatasetError("missing column header line", source, 2)
-    header = lines[1].split("\t")
+    header = header_line.split("\t")
     if header[0] != "date":
         raise DatasetError("column header must start with 'date'", source, 2)
     queries = tuple(header[1:])
@@ -318,7 +324,7 @@ def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
 
     days: dict[dt.date, int] = {}  # each date -> its line
     values: list[tuple[float | None, ...]] = []
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in enumerate(lines, start=3):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -345,7 +351,7 @@ def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
 
 
 def read_matrix(path: str | Path) -> SimilarityMatrix:
-    return parse_matrix(_read_text(path), str(path))
+    return _matrix_from_lines(_text_lines(path), str(path))
 
 
 #: The fields an import mapping names; it may also give a "date_format".

@@ -23,7 +23,7 @@ from typing import Iterator, Literal
 
 from .errors import ValidationError
 from .rank_metrics import RankAlignment
-from .urlnorm import _data_lines, _read_text
+from .urlnorm import _LINE_END, _data_lines, _read_text
 
 # Alphanumeric runs, Unicode-aware; underscore is a separator, not a word char.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -35,7 +35,7 @@ ContentField = Literal["snippet", "title"]
 
 
 def _parse_stopword_lines(text: str) -> frozenset[str]:
-    return frozenset(line.strip().lower() for _, line in _data_lines(text))
+    return frozenset(line.strip().lower() for _, line in _data_lines(_LINE_END.split(text)))
 
 
 @lru_cache(maxsize=1)

@@ -16,7 +16,7 @@ import unicodedata
 import urllib.parse
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Literal
+from typing import Callable, Iterable, Iterator, Literal
 
 from .errors import DatasetError, RedirectError, UrlParseError
 
@@ -51,13 +51,19 @@ _LINE_END = re.compile(r"\r\n?|\n")
 Fetch = Callable[[str], tuple[int, str | None]]
 
 
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 file's text, any byte-order mark dropped; DatasetError at the line of a bad byte."""
+def _decode(data: bytes, source: str) -> str:
+    """UTF-8 ``data`` as text, any byte-order mark dropped; DatasetError at the line of a
+    bad byte, named ``source:line``. Every input file and standard input are decoded here."""
     try:
-        return Path(path).read_bytes().decode("utf-8-sig")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object is the input after the mark
         line = len(_LINE_END.split(exc.object[: exc.start].decode("utf-8")))
-        raise DatasetError(f"invalid UTF-8: {exc.reason}", str(path), line) from exc
+        raise DatasetError(f"invalid UTF-8: {exc.reason}", source, line) from exc
+
+
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text, decoded by :func:`_decode`."""
+    return _decode(Path(path).read_bytes(), str(path))
 
 
 def _text_lines(path: str | Path) -> Iterator[str]:
@@ -79,11 +85,12 @@ def _text_lines(path: str | Path) -> Iterator[str]:
         raise
 
 
-def _data_lines(text: str) -> Iterator[tuple[int, str]]:
-    """``(line number, line)`` for each line that is neither blank nor a ``#`` comment."""
-    for lineno, line in enumerate(_LINE_END.split(text), start=1):
+def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each of ``lines`` (those of :func:`_text_lines`, or text
+    split at ``_LINE_END``) that is neither blank nor a ``#`` comment, its ``\\n`` dropped."""
+    for lineno, line in enumerate(lines, start=1):
         if line.strip() and not line.lstrip().startswith("#"):
-            yield lineno, line
+            yield lineno, line.rstrip("\n")
 
 
 def _normalize_escape(match: re.Match) -> str:
@@ -283,7 +290,7 @@ class RedirectCache:
     def from_file(cls, path: str | Path) -> "RedirectCache":
         """Load a cache from a UTF-8 file of "source<TAB>target" lines."""
         cache = cls()
-        for lineno, line in _data_lines(_read_text(path)):
+        for lineno, line in _data_lines(_text_lines(path)):
             fields = line.split("\t")
             if len(fields) != 2:
                 raise DatasetError(

@@ -412,6 +412,62 @@ class TestShortListStaysInItsCells:
                     assert score == before[query]
 
 
+@st.composite
+def two_engine_datasets(draw) -> SerpDataset:
+    """Engines x and y over 1-3 queries: each engine has each query's list on D1, D2 or
+    both, 1-6 deep, so some cells lack a list and some pairs differ in depth. Each list
+    gives its URLs one of two (title, snippet) variants."""
+    text = st.sampled_from(TEXTS)
+    variants = [{key: (draw(text), draw(text)) for key in URL_KEYS} for _ in range(2)]
+    lists = []
+    for engine, query in itertools.product("xy", QUERIES[: draw(st.integers(1, 3))]):
+        for day in draw(st.sampled_from([(D1,), (D2,), (D1, D2)])):
+            keys = draw(st.permutations(URL_KEYS))[: draw(st.integers(1, 6))]
+            texts = variants[draw(st.integers(0, 1))]
+            results = tuple(
+                SearchResult(url=f"https://{key}.example.com/", title=texts[key][0],
+                             snippet=texts[key][1], rank=rank)
+                for rank, key in enumerate(keys, start=1)
+            )
+            lists.append(RankedList(engine, query, day, results))
+    return SerpDataset(lists)
+
+
+class TestDriftWalksMatrixCells:
+    """Drift of x against y's lists renamed to x, both pinned to one date, walks the
+    x-vs-y matrix row of that date: each scored cell alike, bit for bit, and a missing
+    list where the row holds None."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(dataset=two_engine_datasets(), pick=st.integers(0, 1),
+           cfg=st.sampled_from((DEFAULT_CONFIG, UNIT)), stopwords=st.sampled_from(STOPWORD_SETS))
+    def test_pinned_drift_is_the_matrix_row(self, dataset, pick, cfg, stopwords):
+        matrix = similarity_matrix(dataset, "x", "y", cfg, stopwords=stopwords)
+        day = matrix.days[pick % len(matrix.days)]
+        row = dict(zip(matrix.queries, matrix.values[matrix.days.index(day)]))
+        missing = [query for query, value in row.items() if value is None]
+
+        def drift(dropped=()):
+            old, new = (
+                SerpDataset(replace(dataset.get(*key), engine="x") for key in dataset
+                            if key[0] == engine and key[1] not in dropped)
+                for engine in "xy"
+            )
+            return cross_period_drift(old, new, "x", cfg, stopwords=stopwords,
+                                      date_old=day, date_new=day)
+
+        if missing:
+            with pytest.raises(ValidationError) as info:
+                drift()
+            assert str(info.value) == (
+                f"x, query {missing[0]!r}, {day} vs {day}: "
+                f"no record for x/{missing[0]} on the requested date"
+            )
+        if len(missing) < len(row):
+            scored = {query: value for query, value in row.items() if value is not None}
+            assert drift(missing) == scored
+
+
 @pytest.fixture
 def counted(monkeypatch) -> list:
     """Arguments of every ``penalty_components`` call made by ``analysis``."""

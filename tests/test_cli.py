@@ -594,6 +594,11 @@ class TestDrift:
         assert reads == [redirects]
 
 
+def _stdin(data: bytes) -> io.TextIOWrapper:
+    """Standard input holding ``data``; ``normalize-urls -`` reads its bytes from ``buffer``."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 class TestNormalizeUrls:
     def test_file_with_redirects(self, data_dir, capsys):
         code = run_cli(
@@ -640,7 +645,7 @@ class TestNormalizeUrls:
         assert capsys.readouterr().out == "http://moved.com/\nhttp://b.com/x\n"
 
     def test_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("HTTP://X.Example.com/a/../b\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"HTTP://X.Example.com/a/../b\n"))
         assert run_cli(["normalize-urls", "-"]) == 0
         assert capsys.readouterr().out == "http://x.example.com/b\n"
 
@@ -659,7 +664,7 @@ class TestNormalizeUrls:
         assert run_cli(["normalize-urls", str(path)]) == 2
 
     def test_bad_url_after_good_one_writes_nothing(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("http://a.com/x\nnot-a-url\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"http://a.com/x\nnot-a-url\n"))
         assert run_cli(["normalize-urls", "-"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -676,11 +681,25 @@ class TestNormalizeUrls:
     def test_stdin_error_names_its_line(self, tmp_path, capsys, monkeypatch):
         redirects = tmp_path / "redirects.tsv"
         redirects.write_text("http://a.com/x\thttp://b.com/\n", encoding="utf-8")
-        monkeypatch.setattr(sys, "stdin", io.StringIO("http://a.com/x\nnot a url\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(b"http://a.com/x\nnot a url\n"))
         assert run_cli(["normalize-urls", "-", "--redirects", str(redirects)]) == 2
         assert capsys.readouterr().err.startswith(
             "error: <stdin>:2: cannot canonicalize 'not a url'"
         )
+
+    @pytest.mark.parametrize("data,line", [(b"http://a.com/\xff\n", 1),
+                                           (b"http://a.com\n\xff\n", 2)])
+    def test_stdin_bad_byte_names_its_line(self, capsys, monkeypatch, data, line):
+        monkeypatch.setattr(sys, "stdin", _stdin(data))
+        assert run_cli(["normalize-urls", "-"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: <stdin>:{line}: invalid UTF-8: invalid start byte\n"
+        )
+
+    def test_stdin_byte_order_mark_is_dropped(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", _stdin(codecs.BOM_UTF8 + b"HTTP://X.com\r\n"))
+        assert run_cli(["normalize-urls", "-"]) == 0
+        assert capsys.readouterr().out == "http://x.com/\n"
 
     def test_redirect_loop_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "urls.txt"
@@ -875,7 +894,7 @@ class TestReadmeExamples:
             pipe = tokens.index("|")
             assert tokens[:pipe - 1] == ["printf"]
             stdin = codecs.decode(tokens[pipe - 1], "unicode_escape")
-            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            monkeypatch.setattr(sys, "stdin", _stdin(stdin.encode("utf-8")))
             tokens = tokens[pipe + 1:]
         assert tokens[0] == "serpsim"
         assert run_cli(tokens[1:]) == 0
@@ -1202,6 +1221,25 @@ def test_bad_byte_names_its_line(reader, end, mark, tmp_path, capsys):
     message = _refusal(read, path, capsys)
     assert message.startswith(f"error: {path}:2: invalid UTF-8: ")
     assert message.count("\n") == 1 and message.endswith("\n")
+
+
+#: Readers that check each line: an input whose line 3 is refused, and its refusal.
+LINE_ERRORS = {
+    "matrix": (b"# pair\tx\ty\ndate\tq1\n2019-07-01\tbad\n", "bad cell value 'bad'"),
+    "redirects": (b"# cache\nhttp://a.com/\thttp://b.com/\nno tab\n",
+                  "expected 'source<TAB>target', got 'no tab'"),
+    "normalize-urls": (b"http://a.com/\n\nnot a url\n",
+                       "cannot canonicalize 'not a url': missing scheme (not an absolute URL)"),
+}
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("reader", LINE_ERRORS)
+def test_first_bad_line_is_named_before_a_later_bad_byte(reader, end, tmp_path, capsys):
+    data, problem = LINE_ERRORS[reader]
+    path = tmp_path / "bad"
+    path.write_bytes((data + b"\xff\n").replace(b"\n", end))
+    assert _refusal(READERS[reader][1], path, capsys) == f"error: {path}:3: {problem}\n"
 
 
 def test_bad_byte_past_the_first_read_chunk_names_its_line(tmp_path):
