@@ -24,7 +24,6 @@ import datetime as dt
 import json
 import statistics
 import sys
-from pathlib import Path
 
 from . import analysis, dataset_io
 from .combined import combined_similarity
@@ -38,8 +37,7 @@ from .rank_metrics import (
 )
 from .textsim import load_stopwords
 from .urlnorm import (
-    _LINE_END, RedirectCache, _data_lines, _decode, _follow_cache, _read_text, _text_lines,
-    canonicalize,
+    RedirectCache, _data_lines, _follow_cache, _lines, _text_lines, _write_text, canonicalize,
 )
 
 #: The rank-only baselines ``--metric`` can select instead of ``combined``.
@@ -306,7 +304,7 @@ def _cmd_drift(args: argparse.Namespace) -> str:
 def _cmd_normalize_urls(args: argparse.Namespace) -> str:
     cache = RedirectCache.from_file(args.redirects) if args.redirects else None
     if args.file == "-":
-        path, urls = "<stdin>", _LINE_END.split(_decode(sys.stdin.buffer.read(), "<stdin>"))
+        path, urls = "<stdin>", _lines(sys.stdin.buffer, "<stdin>")
     else:
         path, urls = args.file, _text_lines(args.file)
     lines = []
@@ -325,14 +323,15 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
 
 
 def _cmd_import(args: argparse.Namespace) -> str:
-    text = _read_text(args.mapping)
+    lines = list(_text_lines(args.mapping))
     try:
-        mapping = json.loads(text)
+        mapping = json.loads("".join(lines))
     except (ValueError, RecursionError) as exc:  # a decoder limit, too
         raise DatasetError(f"mapping is not valid JSON: {exc}", args.mapping) from exc
     if not isinstance(mapping, dict):
         raise DatasetError("mapping must be a JSON object", args.mapping)
-    dataset_io._refuse_lone_surrogates(text, args.mapping)
+    for lineno, line in enumerate(lines, start=1):
+        dataset_io._refuse_lone_surrogates(line, args.mapping, lineno)
     dataset = dataset_io.import_dataset(args.input, mapping, **_loader_options(args))
     return dataset_io.dumps_dataset(dataset)
 
@@ -433,7 +432,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         text, out = args.func(args), getattr(args, "output", None)
         if out:
-            Path(out).write_bytes(text.encode("utf-8"))  # encoded before out is opened
+            _write_text(out, text)
         else:
             sys.stdout.write(text)
     except BrokenPipeError:

@@ -27,9 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from .analysis import SerpDataset
 from .errors import DatasetError, SerpSimError, ValidationError
 from .model import SearchResult, SimilarityMatrix, _unit_cell, validate_ranked_list
-from .urlnorm import (
-    _LINE_END, RedirectCache, _text_lines, canonicalize, resolve_redirects,
-)
+from .urlnorm import RedirectCache, _text_lines, _write_text, canonicalize, resolve_redirects
 
 _MATRIX_PAIR_PREFIX = "# pair"
 
@@ -69,18 +67,17 @@ def _parse_date(raw: str, path: str, lineno: int) -> dt.date:
 _JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
-def _refuse_lone_surrogates(text: str, path: str, first_line: int = 1) -> None:
-    """DatasetError at the line of the first string in valid JSON ``text`` that holds a
+def _refuse_lone_surrogates(line: str, path: str, lineno: int) -> None:
+    """DatasetError at ``lineno`` if a string on ``line``, a line of valid JSON, holds a
     lone surrogate, which no output could encode. Only a ``\\ud``/``\\uD`` escape makes
     one, and no JSON string spans lines, so only a line holding one is decoded again."""
-    for lineno, line in enumerate(_LINE_END.split(text), start=first_line):
-        if "\\ud" in line or "\\uD" in line:
-            for literal in _JSON_STRING.findall(line):
-                try:
-                    json.loads(literal).encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    problem = f"lone surrogate {exc.object[exc.start]!r}: {exc.reason}"
-                    raise DatasetError(problem, path, lineno) from None
+    if "\\ud" in line or "\\uD" in line:
+        for literal in _JSON_STRING.findall(line):
+            try:
+                json.loads(literal).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                problem = f"lone surrogate {exc.object[exc.start]!r}: {exc.reason}"
+                raise DatasetError(problem, path, lineno) from None
 
 
 def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
@@ -90,7 +87,7 @@ def _rows(path: Path) -> Iterator[tuple[int, dict[str, Any]]]:
         if line.isspace():
             continue
         try:
-            obj = json.loads(line.rstrip("\n"))
+            obj = json.loads(line.rstrip("\r\n"))
         except (ValueError, RecursionError) as exc:  # a decoder limit, too
             raise DatasetError(f"invalid JSON: {exc}", str(path), lineno) from exc
         if not isinstance(obj, dict):
@@ -268,7 +265,7 @@ def dumps_dataset(dataset: SerpDataset) -> str:
 
 
 def write_dataset(dataset: SerpDataset, path: str | Path) -> None:
-    Path(path).write_bytes(dumps_dataset(dataset).encode("utf-8"))  # encoded before path is opened
+    _write_text(path, dumps_dataset(dataset))
 
 
 def _tsv_line(kind: str, *fields: str) -> str:
@@ -292,7 +289,7 @@ def format_matrix(matrix: SimilarityMatrix) -> str:
 
 
 def write_matrix(matrix: SimilarityMatrix, path: str | Path) -> None:
-    Path(path).write_bytes(format_matrix(matrix).encode("utf-8"))  # encoded before path is opened
+    _write_text(path, format_matrix(matrix))
 
 
 def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
@@ -301,9 +298,9 @@ def parse_matrix(text: str, source: str = "<string>") -> SimilarityMatrix:
 
 
 def _matrix_from_lines(lines: Iterable[str], source: str) -> SimilarityMatrix:
-    """Parse the lines of :func:`format_matrix` text, each ending in ``\\n`` but the last,
-    one at a time, so that a line's error is raised before a later line is read."""
-    lines = (line.rstrip("\n") for line in lines)
+    """Parse the lines of :func:`format_matrix` text, each with its line end, one at a
+    time, so that a line's error is raised before a later line is read."""
+    lines = (line.rstrip("\r\n") for line in lines)
     pair_line = next(lines, "")
     if not pair_line.startswith(_MATRIX_PAIR_PREFIX + "\t"):
         raise DatasetError(f"missing '{_MATRIX_PAIR_PREFIX}' header line", source, 1)

@@ -10,6 +10,7 @@ list-level penalty sums the distances over the URLs both lists share.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import re
 import threading
@@ -23,7 +24,7 @@ from typing import Iterator, Literal
 
 from .errors import ValidationError
 from .rank_metrics import RankAlignment
-from .urlnorm import _LINE_END, _data_lines, _read_text
+from .urlnorm import _data_lines, _lines, _text_lines
 
 # Alphanumeric runs, Unicode-aware; underscore is a separator, not a word char.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -34,8 +35,8 @@ _STOPWORDS_SHA256 = "3eaf18fcf6554bbbeff87ac78ba29dd65f7fdc3c17057861c7ad5665962
 ContentField = Literal["snippet", "title"]
 
 
-def _parse_stopword_lines(text: str) -> frozenset[str]:
-    return frozenset(line.strip().lower() for _, line in _data_lines(_LINE_END.split(text)))
+def _parse_stopword_lines(lines: Iterator[str]) -> frozenset[str]:
+    return frozenset(line.strip().lower() for _, line in _data_lines(lines))
 
 
 @lru_cache(maxsize=1)
@@ -47,12 +48,12 @@ def default_stopwords() -> frozenset[str]:
         raise ValidationError(
             f"bundled stopword list is corrupted (sha256 {digest})"
         )
-    return _parse_stopword_lines(data.decode("utf-8"))
+    return _parse_stopword_lines(_lines(io.BytesIO(data), "stopwords_en.txt"))
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a stopword file: UTF-8, one word per line, '#' comments."""
-    return _parse_stopword_lines(_read_text(path))
+    return _parse_stopword_lines(_text_lines(path))
 
 
 def _drop_set(query: str, stopwords: frozenset[str] | None) -> frozenset[str]:

@@ -9,14 +9,15 @@ map to one final target.
 
 from __future__ import annotations
 
+import codecs
+import io
 import ipaddress
 import re
 import string
 import unicodedata
 import urllib.parse
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Literal
+from typing import BinaryIO, Callable, Iterable, Iterator, Literal
 
 from .errors import DatasetError, RedirectError, UrlParseError
 
@@ -43,54 +44,61 @@ _C0_CONTROL_OR_SPACE = "".join(map(chr, range(0x21)))
 _IPV_FUTURE = re.compile(r"v[0-9A-Fa-f]+\..+")
 _SPACE = re.compile(r"\s")  # the same code points as str.isspace()
 _USES_NETLOC = frozenset(urllib.parse.uses_netloc)
-# only "\n", "\r" and "\r\n" end a line; str.splitlines() also ends one at
-# U+2028, U+0085 and other characters a URL may hold
-_LINE_END = re.compile(r"\r\n?|\n")
+# written by _mark_bad_bytes in front of each bad UTF-8 sequence: neither valid UTF-8
+# nor surrogateescape (U+DC80-U+DCFF) decodes to it
+_BAD = "\udc00"
 
 #: (status, location) returned by a fetch callable; location is None unless redirected.
 Fetch = Callable[[str], tuple[int, str | None]]
 
 
-def _decode(data: bytes, source: str) -> str:
-    """UTF-8 ``data`` as text, any byte-order mark dropped; DatasetError at the line of a
-    bad byte, named ``source:line``. Every input file and standard input are decoded here."""
+def _mark_bad_bytes(exc: UnicodeDecodeError) -> tuple[str, int]:
+    """The decode error handler of :func:`_lines`: ``_BAD``, then the bad bytes as
+    ``surrogateescape`` keeps them (U+DC80-U+DCFF)."""
+    return _BAD + exc.object[exc.start : exc.end].decode("ascii", "surrogateescape"), exc.end
+
+
+codecs.register_error("serpsim.mark", _mark_bad_bytes)
+
+
+def _lines(stream: BinaryIO, source: str) -> Iterator[str]:
+    """The lines of UTF-8 ``stream``, any byte-order mark dropped. Only ``\\n``, ``\\r``
+    and ``\\r\\n`` end a line, and each line keeps its end. A line with a bad byte is a
+    DatasetError at ``source:line``, raised only after every line before it is yielded,
+    so a reader that checks each line reports the first bad line. Every input file,
+    standard input and the bundled stopwords are decoded here, and ``stream`` is left
+    open."""
+    text = io.TextIOWrapper(stream, encoding="utf-8-sig", errors="serpsim.mark", newline="")
     try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:  # exc.object is the input after the mark
-        line = len(_LINE_END.split(exc.object[: exc.start].decode("utf-8")))
-        raise DatasetError(f"invalid UTF-8: {exc.reason}", source, line) from exc
-
-
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 file's text, decoded by :func:`_decode`."""
-    return _decode(Path(path).read_bytes(), str(path))
+        for lineno, line in enumerate(text, start=1):
+            if _BAD in line:  # decoded again without the marks, for the decoder's reason
+                try:
+                    line.replace(_BAD, "").encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:  # always: marked bytes are not UTF-8
+                    raise DatasetError(f"invalid UTF-8: {exc.reason}", source, lineno) from exc
+            yield line
+    finally:
+        text.detach()  # collecting an attached wrapper would close stream
 
 
 def _text_lines(path: str | Path) -> Iterator[str]:
-    """Stream the lines of :func:`_read_text`, each line end read as ``\\n``. Every
-    complete line before a bad byte is yielded before its error is raised, so a
-    reader that checks each line reports the first bad line."""
-    done = 0
-    try:
-        with open(path, encoding="utf-8-sig") as lines:
-            for done, line in enumerate(lines, start=1):
-                yield line
-    except UnicodeDecodeError:
-        try:
-            _read_text(path)
-        except DatasetError as exc:  # names the line of the first bad byte
-            with open(path, encoding="utf-8-sig", errors="replace") as lines:
-                yield from islice(lines, done, exc.line - 1)  # its chunk's lines before it
-            raise
-        raise
+    """The lines of the UTF-8 file at ``path``, read by :func:`_lines`."""
+    with open(path, "rb") as stream:
+        yield from _lines(stream, str(path))
 
 
 def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
-    """``(line number, line)`` for each of ``lines`` (those of :func:`_text_lines`, or text
-    split at ``_LINE_END``) that is neither blank nor a ``#`` comment, its ``\\n`` dropped."""
+    """``(line number, line)`` for each of ``lines`` (those of :func:`_lines`) that is
+    neither blank nor a ``#`` comment, its line end dropped."""
     for lineno, line in enumerate(lines, start=1):
         if line.strip() and not line.lstrip().startswith("#"):
-            yield lineno, line.rstrip("\n")
+            yield lineno, line.rstrip("\r\n")
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, encoded before ``path`` is opened, so a text
+    that fails to encode leaves an existing file as it was. Every writer writes here."""
+    Path(path).write_bytes(text.encode("utf-8"))
 
 
 def _normalize_escape(match: re.Match) -> str:
@@ -304,7 +312,7 @@ class RedirectCache:
 
     def save(self, path: str | Path) -> None:
         lines = [f"{src}\t{dst}\n" for src, dst in sorted(self._entries.items())]
-        Path(path).write_bytes("".join(lines).encode("utf-8"))  # encoded before path is opened
+        _write_text(path, "".join(lines))
 
 
 def default_fetch(url: str, timeout: float = 10.0) -> tuple[int, str | None]:

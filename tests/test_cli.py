@@ -1,5 +1,6 @@
 import codecs
 import datetime as dt
+import gc
 import io
 import json
 import re
@@ -696,6 +697,14 @@ class TestNormalizeUrls:
             "", f"error: <stdin>:{line}: invalid UTF-8: invalid start byte\n"
         )
 
+    @pytest.mark.parametrize("data,code", [(b"http://a.com/\n", 0), (b"http://a.com/\xff\n", 2)],
+                             ids=["good", "bad-byte"])
+    def test_stdin_stays_open(self, capsys, monkeypatch, data, code):
+        monkeypatch.setattr(sys, "stdin", _stdin(data))
+        assert run_cli(["normalize-urls", "-"]) == code
+        gc.collect()  # a reader's wrapper still attached would close the buffer now
+        assert not sys.stdin.buffer.closed
+
     def test_stdin_byte_order_mark_is_dropped(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", _stdin(codecs.BOM_UTF8 + b"HTTP://X.com\r\n"))
         assert run_cli(["normalize-urls", "-"]) == 0
@@ -1231,15 +1240,23 @@ LINE_ERRORS = {
     "normalize-urls": (b"http://a.com/\n\nnot a url\n",
                        "cannot canonicalize 'not a url': missing scheme (not an absolute URL)"),
 }
+LINE_ERRORS["stdin"] = LINE_ERRORS["normalize-urls"]  # normalize-urls -
 
 
 @pytest.mark.parametrize("end", [b"\n", b"\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("reader", LINE_ERRORS)
-def test_first_bad_line_is_named_before_a_later_bad_byte(reader, end, tmp_path, capsys):
+def test_first_bad_line_is_named_before_a_later_bad_byte(
+    reader, end, tmp_path, capsys, monkeypatch
+):
     data, problem = LINE_ERRORS[reader]
     path = tmp_path / "bad"
     path.write_bytes((data + b"\xff\n").replace(b"\n", end))
-    assert _refusal(READERS[reader][1], path, capsys) == f"error: {path}:3: {problem}\n"
+    if reader == "stdin":
+        monkeypatch.setattr(sys, "stdin", _stdin(path.read_bytes()))
+        read, source = (lambda path, capsys: _stdout(capsys, "normalize-urls", "-")), "<stdin>"
+    else:
+        read, source = READERS[reader][1], path
+    assert _refusal(read, path, capsys) == f"error: {source}:3: {problem}\n"
 
 
 def test_bad_byte_past_the_first_read_chunk_names_its_line(tmp_path):

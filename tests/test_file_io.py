@@ -1,5 +1,5 @@
-"""File I/O of the runtime goes through ``urlnorm``: it alone decodes an input file,
-and every writer encodes its text before it opens the target."""
+"""File I/O of the runtime goes through ``urlnorm``: it alone decodes input bytes,
+and its one writer encodes a text before it opens the target."""
 
 import ast
 from pathlib import Path
@@ -10,13 +10,14 @@ SOURCES = sorted((Path(__file__).parents[1] / "src" / "serpsim").glob("*.py"))
 
 
 def _text_file_calls(source: str) -> list[str]:
-    """The ``read_text``, ``write_text`` and ``open`` calls in ``source``, by name."""
+    """The ``read_text``, ``write_text``, ``open``, ``write_bytes`` and ``decode`` calls in
+    ``source``, by name."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name in ("read_text", "write_text", "open"):
+            if name in ("read_text", "write_text", "open", "write_bytes", "decode"):
                 names.append(name)
     return names
 
@@ -28,8 +29,8 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_text_file_call_outside_the_reader(path):
     calls = _text_file_calls(path.read_text(encoding="utf-8"))
-    if path.name == "urlnorm.py":  # _text_lines opens its file; default_fetch an HTTP request
-        calls = [name for name in calls if name != "open"]
+    if path.name == "urlnorm.py":  # the reader and the writer, and default_fetch's request
+        calls = [name for name in calls if name not in ("open", "write_bytes", "decode")]
     assert calls == []
 
 
@@ -39,5 +40,10 @@ def test_only_the_reader_names_the_input_encoding(path):
 
 
 def test_text_file_calls_are_flagged():
-    source = "p.read_text()\nPath(q).write_text(t)\nwith open(f) as h:\n    h.read()\np.read_bytes()\n"
-    assert _text_file_calls(source) == ["read_text", "write_text", "open"]
+    source = (
+        "p.read_text()\nPath(q).write_text(t)\nwith open(f) as h:\n    h.read()\n"
+        "p.read_bytes()\nPath(q).write_bytes(b)\nb.decode()\n"
+    )
+    assert sorted(_text_file_calls(source)) == [
+        "decode", "open", "read_text", "write_bytes", "write_text"
+    ]

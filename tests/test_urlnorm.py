@@ -1,5 +1,6 @@
 import codecs
 import http.server
+import io
 import ipaddress
 import re
 import tempfile
@@ -21,9 +22,8 @@ from serpsim import (
 )
 from serpsim.urlnorm import (
     DEFAULT_PORTS,
-    _LINE_END,
+    _lines,
     _normalize_percent,
-    _read_text,
     _remove_dot_segments,
     _split_netloc,
     _text_lines,
@@ -453,26 +453,49 @@ def _files_with_one_bad_sequence(draw):
     return mark + head + tail, mark + head + bad + tail, k
 
 
+class _Pipe(io.RawIOBase):
+    """``data`` read as from a pipe: it cannot seek, and each read returns at most
+    ``size`` bytes, so a read can end inside a line end or a multibyte sequence."""
+
+    def __init__(self, data: bytes, size: int):
+        self._data, self._size = io.BytesIO(data), size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = self._data.read(min(len(buffer), self._size))
+        buffer[: len(chunk)] = chunk
+        return len(chunk)
+
+
+_LINE = re.compile(r"[^\r\n]*(?:\r\n|\r|\n)")  # a complete line, with its end
+
+
 class TestReadText:
     @settings(max_examples=1000, deadline=None)
-    @given(_files_with_one_bad_sequence())
-    def test_bad_sequence_names_its_line(self, files):
+    @given(_files_with_one_bad_sequence(), st.integers(1, 4))
+    def test_bad_sequence_names_its_line(self, files, size):
         clean, bad, k = files
+        text = clean.decode("utf-8-sig")
+        with pytest.raises(UnicodeDecodeError) as whole:
+            bad.decode("utf-8-sig")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "input.txt"
             path.write_bytes(clean)
-            text = _read_text(path)
-            assert text == clean.decode("utf-8-sig")
-            assert "".join(_text_lines(path)) == _LINE_END.sub("\n", text)
+            assert "".join(_text_lines(path)) == text
+            assert "".join(_lines(_Pipe(clean, size), "<pipe>")) == text
             path.write_bytes(bad)
-            streamed = []
-            for read in (_read_text, lambda path: streamed.extend(_text_lines(path))):
+            reads = {str(path): lambda: _text_lines(path),
+                     "<pipe>": lambda: _lines(_Pipe(bad, size), "<pipe>")}
+            for source, read in reads.items():
+                streamed = []
                 with pytest.raises(DatasetError) as info:
-                    read(path)
-                assert (info.value.path, info.value.line) == (str(path), k)
-                assert str(info.value).startswith(f"{path}:{k}: invalid UTF-8: ")
-            # every line before the bad one was streamed first
-            assert streamed == [line + "\n" for line in _LINE_END.split(text)[: k - 1]]
+                    streamed.extend(read())
+                assert (info.value.path, info.value.line) == (source, k)
+                assert str(info.value) == f"{source}:{k}: invalid UTF-8: {whole.value.reason}"
+                # every line before the bad one was streamed first
+                assert streamed == _LINE.findall(text)[: k - 1]
 
 
 class TestResolveOffline:
