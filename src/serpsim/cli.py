@@ -141,6 +141,8 @@ def _stopwords(args: argparse.Namespace) -> frozenset[str] | None:
 
 def _loader_options(args: argparse.Namespace) -> dict:
     """Keyword arguments shared by ``load_dataset`` and ``import_dataset``."""
+    if args.strict and args.top_n is None:
+        raise UsageError("--strict needs --top-n")
     return {
         "normalize": args.normalize,
         "redirect_cache": RedirectCache.from_file(args.redirects) if args.redirects else None,
@@ -323,6 +325,7 @@ def _cmd_normalize_urls(args: argparse.Namespace) -> str:
 
 
 def _cmd_import(args: argparse.Namespace) -> str:
+    options = _loader_options(args)
     lines = list(_text_lines(args.mapping))
     try:
         mapping = json.loads("".join(lines))
@@ -332,7 +335,7 @@ def _cmd_import(args: argparse.Namespace) -> str:
         raise DatasetError("mapping must be a JSON object", args.mapping)
     for lineno, line in enumerate(lines, start=1):
         dataset_io._refuse_lone_surrogates(line, args.mapping, lineno)
-    dataset = dataset_io.import_dataset(args.input, mapping, **_loader_options(args))
+    dataset = dataset_io.import_dataset(args.input, mapping, **options)
     return dataset_io.dumps_dataset(dataset)
 
 

@@ -27,7 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from .analysis import SerpDataset
 from .errors import DatasetError, SerpSimError, ValidationError
 from .model import SearchResult, SimilarityMatrix, _unit_cell, validate_ranked_list
-from .urlnorm import RedirectCache, _text_lines, _write_text, canonicalize, resolve_redirects
+from .urlnorm import RedirectCache, _text_lines, _write_text, resolve_redirects
 
 _MATRIX_PAIR_PREFIX = "# pair"
 
@@ -112,8 +112,8 @@ class _Load:
         if expected_n is not None and expected_n < 1:
             raise ValidationError(f"expected_n must be >= 1, got {expected_n}")
         self.path = str(path)
-        self.redirect_cache = redirect_cache
         self.normalize = normalize or redirect_cache is not None
+        self.redirect_cache = RedirectCache() if redirect_cache is None else redirect_cache
         self.strict = strict and expected_n is not None  # only a given depth is enforced
         self.depth = expected_n  # None: each list's own distinct length
         self.groups: dict[tuple[str, str, dt.date], tuple[int, list[SearchResult]]] = {}
@@ -130,10 +130,7 @@ class _Load:
             if self.normalize:
                 final = self.resolved.get(url)
                 if final is None:
-                    if self.redirect_cache is not None:
-                        final = resolve_redirects(url, self.redirect_cache, "offline")
-                    else:
-                        final = canonicalize(url)
+                    final = resolve_redirects(url, self.redirect_cache)
                     final = self.resolved[url] = strings.setdefault(final, final)
                 url = final
             else:

@@ -2,9 +2,9 @@
 
 Two references to the same document should compare equal as plain
 strings. Canonicalization applies conservative, content-preserving
-rewrites; redirect resolution follows 3xx chains (online) or a
-previously recorded source->target cache (offline) so that variant URLs
-map to one final target.
+rewrites; redirect resolution follows a recorded source->target cache
+and, given a fetch, the 3xx chains of URLs the cache lacks, so that
+variant URLs map to one final target.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ from __future__ import annotations
 import codecs
 import io
 import ipaddress
+import os
 import re
+import stat
 import string
 import unicodedata
 import urllib.parse
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Literal
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .errors import DatasetError, RedirectError, UrlParseError
 
@@ -96,9 +98,33 @@ def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8, encoded before ``path`` is opened, so a text
-    that fails to encode leaves an existing file as it was. Every writer writes here."""
-    Path(path).write_bytes(text.encode("utf-8"))
+    """Write ``text`` to ``path`` as UTF-8; every writer writes here. The encoded text
+    replaces a regular file (through a symlink too) from a complete temporary file, so a
+    failure leaves its old bytes; any other file, such as a device or FIFO, is written in place."""
+    data = text.encode("utf-8")
+    try:  # any error but a missing target is the one an in-place write would meet
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as stream:
+            stream.write(data)
+        return
+    target = Path(os.path.realpath(path))
+    temp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    try:  # before the cleanup below: a name already taken is not ours to remove
+        stream = open(temp, "xb")
+    except OSError as exc:  # named by the target, as an in-place write would be
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    try:
+        with stream:
+            stream.write(data)
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink()
+        raise
 
 
 def _normalize_escape(match: re.Match) -> str:
@@ -344,56 +370,41 @@ def default_fetch(url: str, timeout: float = 10.0) -> tuple[int, str | None]:
         raise RedirectError(f"network failure fetching {url}: {exc}") from exc
 
 
-def _follow_cache(url: str, cache: RedirectCache, max_hops: int = 10) -> str:
-    """Walk the cache's recorded chain from an already canonical URL."""
+def _follow_cache(
+    url: str, cache: RedirectCache, max_hops: int = 10, fetch: Fetch | None = None
+) -> str:
+    """Walk the redirect chain from an already canonical URL, at most ``max_hops`` hops.
+    Each hop is the cache's entry, or, when it has none and ``fetch`` is given, the
+    fetched 3xx's ``Location``. A cached entry that maps a URL to itself ends the
+    chain; a fetched one is a loop. With ``fetch``, every URL of the resolved chain is
+    recorded in the cache against the chain's end."""
     chain = [url]
-    current = url
-    for _ in range(max_hops):
+    while True:
+        current = chain[-1]
         target = cache.get(current)
-        if target is None or target == current:
+        if target is None and fetch is not None:
+            status, location = fetch(current)
+            if 300 <= status < 400 and location:
+                target = canonicalize(urllib.parse.urljoin(current, location))
+        elif target == current:
+            target = None
+        if target is None:
+            if fetch is not None:
+                for source in chain:
+                    cache.put(source, current)
             return current
         if target in chain:
-            raise RedirectError("redirect loop in cache", tuple(chain + [target]))
+            loop = "redirect loop" if fetch is not None else "redirect loop in cache"
+            raise RedirectError(loop, tuple(chain + [target]))
         chain.append(target)
-        current = target
-    raise RedirectError(f"hop limit {max_hops} exceeded", tuple(chain))
+        if len(chain) > max_hops + 1:
+            raise RedirectError(f"hop limit {max_hops} exceeded", tuple(chain))
 
 
 def resolve_redirects(
-    url: str,
-    cache: RedirectCache,
-    mode: Literal["online", "offline"] = "offline",
-    *,
-    max_hops: int = 10,
-    fetch: Fetch | None = None,
+    url: str, cache: RedirectCache, *, max_hops: int = 10, fetch: Fetch | None = None
 ) -> str:
-    """Canonicalize a URL and resolve it to its final redirect target.
-
-    Offline mode walks the cache (following recorded chains); a URL with
-    no cache entry is returned unchanged. Online mode issues requests via
-    ``fetch`` (default: stdlib HTTP HEAD/GET), follows 3xx responses up to
-    ``max_hops``, records every hop's final target in the cache, and never
-    silently swallows a network failure.
-    """
-    url = canonicalize(url)
-    if mode == "offline":
-        return _follow_cache(url, cache, max_hops)
-
-    if mode != "online":
-        raise ValueError(f"mode must be 'online' or 'offline', got {mode!r}")
-
-    fetch = fetch or default_fetch
-    chain = [url]
-    current = url
-    for _ in range(max_hops + 1):
-        status, location = fetch(current)
-        if not (300 <= status < 400 and location):
-            for source in chain:
-                cache.put(source, current)
-            return current
-        nxt = canonicalize(urllib.parse.urljoin(current, location))
-        if nxt in chain:
-            raise RedirectError("redirect loop", tuple(chain + [nxt]))
-        chain.append(nxt)
-        current = nxt
-    raise RedirectError(f"hop limit {max_hops} exceeded", tuple(chain))
+    """Canonicalize a URL and resolve it to its final redirect target by
+    :func:`_follow_cache`: from ``cache`` alone, or online when ``fetch`` is given
+    (``default_fetch`` for real HTTP), never silently swallowing a network failure."""
+    return _follow_cache(canonicalize(url), cache, max_hops, fetch)

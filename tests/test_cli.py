@@ -341,6 +341,21 @@ class TestUnreadFlags:
         assert run_cli([token.format(**paths) for token in argv]) == 1
         assert _last_flag(argv) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["compare", "{pair_a}", "{pair_b}"],
+        ["matrix", "--dataset", "{sample}", "--engine-a", "acme", "--engine-b", "bravo"],
+        ["consistency", "--dataset", "{sample}", "--engine-a", "acme", "--engine-b", "bravo"],
+        ["summary", "--dataset", "{sample}", "--engine-a", "acme", "--engine-b", "bravo"],
+        _SWEEP, _DRIFT, _IMPORT,
+    ], ids=lambda argv: argv[0])
+    def test_strict_without_top_n_exits_one_before_reading(self, argv, tmp_path, capsys):
+        # every path is missing: the usage error comes before any file is read
+        missing = {name: str(tmp_path / name) for name in
+                   ("pair_a", "pair_b", "sample", "alien", "mapping", "missing")}
+        argv = [token.format(**missing) for token in argv]
+        assert run_cli([*argv, "--redirects", missing["missing"], "--strict"]) == 1
+        assert capsys.readouterr() == ("", "usage error: --strict needs --top-n\n")
+
     @pytest.mark.parametrize("command", ["consistency", "summary"])
     @pytest.mark.parametrize("flag", [["--weights", "0,0,0"], ["--boost", "none"],
                                       ["--stopwords", "missing.txt"]], ids=lambda f: f[0][2:])
@@ -719,6 +734,24 @@ class TestNormalizeUrls:
         assert run_cli(["normalize-urls", str(path), "--redirects", str(redirects)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}:2: redirect loop in cache")
 
+    @pytest.mark.parametrize("hops", [10, 11])
+    def test_chain_of_ten_hops_resolves_and_eleven_exceed(self, tmp_path, capsys, hops):
+        path = tmp_path / "urls.txt"
+        path.write_text("http://a.com/0\n", encoding="utf-8")
+        redirects = tmp_path / "redirects.tsv"
+        redirects.write_text(
+            "".join(f"http://a.com/{i}\thttp://a.com/{i + 1}\n" for i in range(hops)),
+            encoding="utf-8",
+        )
+        code = run_cli(["normalize-urls", str(path), "--redirects", str(redirects)])
+        out, err = capsys.readouterr()
+        if hops == 10:
+            assert (code, out, err) == (0, "http://a.com/10\n", "")
+        else:
+            chain = " -> ".join(f"http://a.com/{i}" for i in range(12))
+            assert (code, out) == (2, "")
+            assert err == f"error: {path}:1: hop limit 10 exceeded (chain: {chain})\n"
+
     def test_sort_query_flag(self, tmp_path, capsys):
         path = tmp_path / "urls.txt"
         path.write_text("http://example.com/?b=2&a=1\n", encoding="utf-8")
@@ -769,12 +802,13 @@ class TestImport:
         mapping = tmp_path / "mapping.json"
         mapping.write_text(json.dumps({"engine": {"const": "e"}, "query": "q", "date": "d",
                                        "rank": "p", "url": "u"}))
-        argv = ["import", "--input", str(flat), "--mapping", str(mapping), "--normalize",
-                "--strict"]
+        argv = ["import", "--input", str(flat), "--mapping", str(mapping), "--normalize"]
         assert run_cli(argv) == 0
         [line] = capsys.readouterr().out.splitlines()
         assert [r["url"] for r in json.loads(line)["results"]] == ["http://x/", "http://y/"]
-        assert run_cli(argv + ["--top-n", "3"]) == 2
+        assert run_cli(argv + ["--strict"]) == 1
+        assert capsys.readouterr() == ("", "usage error: --strict needs --top-n\n")
+        assert run_cli(argv + ["--strict", "--top-n", "3"]) == 2
         assert capsys.readouterr() == ("", (
             f"error: {flat}:1: e/q/2019-07-01: only 2 distinct results remain after "
             "deduplication, expected 3\n"

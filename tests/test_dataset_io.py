@@ -251,6 +251,20 @@ class TestLoadDataset:
         ds = load_dataset(path, redirect_cache=cache)
         assert ds.get("e1", "sample query", D1).urls() == ("https://example.com/final",)
 
+    @pytest.mark.parametrize("hops", [10, 11])
+    def test_redirect_chain_of_ten_hops_resolves_and_eleven_exceed(self, tmp_path, hops):
+        urls = [f"https://a.example.com/{i}" for i in range(hops + 1)]
+        cache = RedirectCache(dict(zip(urls, urls[1:])))
+        obj = json.loads(record_line())
+        obj["results"] = [{"rank": 1, "url": urls[0], "title": "t", "snippet": "s"}]
+        path = write_jsonl(tmp_path, json.dumps(obj))
+        if hops == 10:
+            ds = load_dataset(path, redirect_cache=cache)
+            assert ds.get("e1", "sample query", D1).urls() == (urls[-1],)
+        else:
+            with pytest.raises(DatasetError, match=r"data\.jsonl:1: hop limit 10 exceeded"):
+                load_dataset(path, redirect_cache=cache)
+
     @pytest.mark.parametrize(
         "url, cache",
         [
@@ -284,7 +298,6 @@ class TestLoadDataset:
             return canonicalize(url, **kwargs)
 
         monkeypatch.setattr(urlnorm, "canonicalize", counting)
-        monkeypatch.setattr(dataset_io, "canonicalize", counting)
         load_dataset(path, normalize=True, redirect_cache=cache)
         assert len(seen) == 3
 
@@ -295,7 +308,7 @@ class TestLoadDataset:
             record_line(engine="e2", urls=("b", "a")),
             record_line(engine="e3", urls=("c", "a")),
         )
-        seen = count_calls(monkeypatch, "canonicalize")
+        seen = count_calls(monkeypatch, "resolve_redirects")
         ds = load_dataset(path, normalize=True)
         raw = {u: f"https://{u}.example.com/page" for u in "abc"}
         assert sorted(seen) == [raw["a"], raw["b"], raw["c"]]
@@ -908,7 +921,7 @@ class TestImport:
                 for q in ("a", "b") for p, u in ((1, "x"), (2, "y"))]
         path = write_jsonl(tmp_path, *map(json.dumps, rows))
         mapping = {"engine": {"const": "e"}, "query": "q", "date": "d", "rank": "p", "url": "u"}
-        seen = count_calls(monkeypatch, "canonicalize")
+        seen = count_calls(monkeypatch, "resolve_redirects")
         ds = import_dataset(path, mapping, normalize=True)
         assert seen == ["HTTP://x.example.com/", "HTTP://y.example.com/"]
         assert ds.get("e", "b", D1).urls() == ("http://x.example.com/", "http://y.example.com/")
@@ -1141,7 +1154,7 @@ class TestOneResultPerDistinctResult:
             ({}, lambda url: url),
             ({"normalize": True}, urlnorm.canonicalize),
             ({"redirect_cache": cache},
-             lambda url: urlnorm.resolve_redirects(url, cache, "offline")),
+             lambda url: urlnorm.resolve_redirects(url, cache)),
         )
         formats = (  # texts, the bad one's index, the loader
             ([json.dumps(obj) for obj in lines], bad, load_dataset),
@@ -1220,7 +1233,7 @@ class TestDefaultDepth:
             "plain": ({}, lambda url: url),
             "normalize": ({"normalize": True}, urlnorm.canonicalize),
             "redirects": ({"redirect_cache": cache},
-                          lambda url: urlnorm.resolve_redirects(url, cache, "offline")),
+                          lambda url: urlnorm.resolve_redirects(url, cache)),
         }[how]
         depths = {
             (obj["engine"], obj["query"], dt.date.fromisoformat(obj["date"])):

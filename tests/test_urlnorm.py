@@ -1,8 +1,11 @@
 import codecs
+import errno
 import http.server
 import io
 import ipaddress
+import os
 import re
+import stat
 import tempfile
 import threading
 import urllib.parse
@@ -20,6 +23,7 @@ from serpsim import (
     canonicalize,
     resolve_redirects,
 )
+from serpsim import urlnorm
 from serpsim.urlnorm import (
     DEFAULT_PORTS,
     _lines,
@@ -27,6 +31,7 @@ from serpsim.urlnorm import (
     _remove_dot_segments,
     _split_netloc,
     _text_lines,
+    _write_text,
     default_fetch,
 )
 
@@ -498,6 +503,72 @@ class TestReadText:
                 assert streamed == _LINE.findall(text)[: k - 1]
 
 
+class _FailingWriter:
+    """A file that writes part of its first ``write`` and then fails, as a full disk does."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.stream.close()
+
+    def write(self, data):
+        self.stream.write(data[:3])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestWriteText:
+    def test_failed_write_leaves_the_old_bytes_and_no_stray_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"old bytes\n")
+        opened = []
+
+        def failing_open(*args, **kwargs):
+            opened.append(args)
+            return _FailingWriter(open(*args, **kwargs))
+
+        monkeypatch.setattr(urlnorm, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            _write_text(target, "new text\n")
+        assert opened  # the write did fail inside the writer
+        assert target.read_bytes() == b"old bytes\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["out.tsv"]
+
+    def test_symlinked_target_stays_a_link(self, tmp_path):
+        real, link = tmp_path / "real.tsv", tmp_path / "link.tsv"
+        real.write_bytes(b"old bytes\n")
+        link.symlink_to(real)
+        _write_text(link, "new text\n")
+        assert link.is_symlink()
+        assert real.read_bytes() == b"new text\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.tsv", "real.tsv"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        _write_text(fifo, "caf\u00e9\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert read == ["caf\u00e9\n".encode("utf-8")]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert [path.name for path in tmp_path.iterdir()] == ["pipe"]
+
+    def test_target_keeps_its_permission_bits(self, tmp_path):
+        target = tmp_path / "out.tsv"
+        target.write_bytes(b"old bytes\n")
+        target.chmod(0o640)
+        _write_text(target, "new text\n")
+        assert target.read_bytes() == b"new text\n"
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
 class TestResolveOffline:
     def test_unknown_url_passes_through(self):
         assert (
@@ -538,6 +609,18 @@ class TestResolveOffline:
         with pytest.raises(RedirectError, match="hop limit"):
             resolve_redirects("http://x.example.com/0", cache)
 
+    def test_chain_of_max_hops_resolves_and_one_more_hop_exceeds(self):
+        assert resolve_redirects("http://x.example.com/0", _chain(10)) == "http://x.example.com/10"
+        with pytest.raises(RedirectError, match=r"^hop limit 10 exceeded \(chain: ") as info:
+            resolve_redirects("http://x.example.com/0", _chain(11))
+        assert info.value.chain == tuple(f"http://x.example.com/{i}" for i in range(12))
+
+    def test_zero_hops_returns_a_url_without_an_entry(self):
+        url = "http://x.example.com/0"
+        assert resolve_redirects(url, RedirectCache(), max_hops=0) == url
+        with pytest.raises(RedirectError, match="hop limit 0 exceeded"):
+            resolve_redirects(url, _chain(1), max_hops=0)
+
 
 class TestResolveOnline:
     def test_follows_and_caches(self):
@@ -553,7 +636,7 @@ class TestResolveOnline:
             return hops[url]
 
         cache = RedirectCache()
-        final = resolve_redirects("http://x.example.com/a", cache, "online", fetch=fetch)
+        final = resolve_redirects("http://x.example.com/a", cache, fetch=fetch)
         assert final == "http://y.example.com/c"
         assert calls == list(hops)
         # every hop now resolves offline without extra fetches
@@ -566,7 +649,7 @@ class TestResolveOnline:
         }
         with pytest.raises(RedirectError, match="loop"):
             resolve_redirects(
-                "http://x.example.com/a", RedirectCache(), "online", fetch=lambda u: hops[u]
+                "http://x.example.com/a", RedirectCache(), fetch=lambda u: hops[u]
             )
 
     def test_hop_limit(self):
@@ -576,12 +659,86 @@ class TestResolveOnline:
 
         with pytest.raises(RedirectError, match="hop limit"):
             resolve_redirects(
-                "http://x.example.com/0", RedirectCache(), "online", max_hops=5, fetch=fetch
+                "http://x.example.com/0", RedirectCache(), max_hops=5, fetch=fetch
             )
 
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            resolve_redirects("http://x.example.com/a", RedirectCache(), "sideways")
+
+    def test_reads_the_cache_before_it_fetches(self):
+        hops = {"http://x.example.com/a": (301, "/b"), "http://x.example.com/c": (200, None)}
+        calls = []
+
+        def fetch(url):
+            calls.append(url)
+            return hops[url]
+
+        cache = RedirectCache({"http://x.example.com/b": "http://x.example.com/c"})
+        for _ in range(2):  # the second walk finds every hop in the cache
+            final = resolve_redirects("http://x.example.com/a", cache, fetch=fetch)
+            assert final == "http://x.example.com/c"
+            assert calls == ["http://x.example.com/a", "http://x.example.com/c"]
+
+    @pytest.mark.parametrize("start,chain", [("/b", "b -> b"), ("/a", "a -> b -> b")])
+    def test_fetched_self_redirect_is_a_loop(self, start, chain):
+        def fetch(url):
+            return 301, "/b"
+
+        url = urllib.parse.urljoin("http://x.example.com/", start)
+        chain = " -> ".join(f"http://x.example.com/{step}" for step in chain.split(" -> "))
+        with pytest.raises(RedirectError) as info:
+            resolve_redirects(url, RedirectCache(), fetch=fetch)
+        assert str(info.value) == f"redirect loop (chain: {chain})"
+
+
+def _chain(hops: int) -> RedirectCache:
+    """A cache holding one chain of ``hops`` hops, from ``/0`` to ``/hops``."""
+    return RedirectCache(
+        {f"http://x.example.com/{i}": f"http://x.example.com/{i + 1}" for i in range(hops)}
+    )
+
+
+_WALK_URLS = [f"http://x.example.com/{i}" for i in range(8)]
+
+
+def _serve(entries: dict[str, str], calls: list[str]):
+    """A fetch answering from ``entries``: 301 for an entry to another URL, else 200."""
+    def fetch(url):
+        calls.append(url)
+        target = entries.get(url, url)
+        return (200, None) if target == url else (301, target)
+    return fetch
+
+
+def _walked(walk):
+    """The URL ``walk()`` returns, or the kind and chain of its RedirectError."""
+    try:
+        return walk()
+    except RedirectError as exc:
+        kind = str(exc).partition(" (chain: ")[0]
+        return ("loop" if kind.startswith("redirect loop") else kind, exc.chain)
+
+
+class TestOneWalk:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        entries=st.dictionaries(st.sampled_from(_WALK_URLS), st.sampled_from(_WALK_URLS),
+                                max_size=8),
+        start=st.sampled_from(_WALK_URLS),
+        max_hops=st.integers(0, 12),
+    )
+    def test_cache_and_fetch_walk_the_same_chain(self, entries, start, max_hops):
+        offline = _walked(
+            lambda: resolve_redirects(start, RedirectCache(entries), max_hops=max_hops)
+        )
+        cache, calls = RedirectCache(), []
+        fetch = _serve(entries, calls)
+        online = _walked(
+            lambda: resolve_redirects(start, cache, max_hops=max_hops, fetch=fetch)
+        )
+        assert online == offline
+        if isinstance(online, str):
+            calls.clear()
+            assert resolve_redirects(start, cache, max_hops=max_hops, fetch=fetch) == online
+            assert calls == []
 
 
 class _Handler(http.server.BaseHTTPRequestHandler):
@@ -642,7 +799,7 @@ class TestDefaultFetch:
             ("HEAD", "/c"): (200, None),
         }
         cache = RedirectCache()
-        final = resolve_redirects(server.base + "/a", cache, "online")
+        final = resolve_redirects(server.base + "/a", cache, fetch=default_fetch)
         assert final == server.base + "/c"
         assert [path for _, path in server.seen] == ["/a", "/b", "/c"]
         assert resolve_redirects(server.base + "/a", cache) == final
