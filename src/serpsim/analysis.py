@@ -39,7 +39,7 @@ DEFAULT_SWEEP_STEPS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 class SerpDataset:
     """An indexed collection of ranked lists, one per (engine, query, date).
 
-    Each list is keyed by its own engine, query and date; a second list
+    Each list is indexed by engine, then query, then date; a second list
     with the same key is a ValidationError. ``categories`` optionally
     maps a query to a topic label; it is carried along for reporting and
     never affects any score. The dataset keeps each engine pair's
@@ -53,58 +53,52 @@ class SerpDataset:
     def __init__(
         self, lists: Iterable[RankedList], categories: Mapping[str, str] | None = None
     ):
-        self._records: dict[RecordKey, RankedList] = {}
+        self._index: dict[str, dict[str, dict[dt.date, RankedList]]] = {}
         for ranked in lists:
-            key = (ranked.engine, ranked.query, ranked.date)
-            if key in self._records:
+            by_date = self._index.setdefault(ranked.engine, {}).setdefault(ranked.query, {})
+            if ranked.date in by_date:
+                key = (ranked.engine, ranked.query, ranked.date)
                 raise ValidationError(f"duplicate record for {key}")
-            self._records[key] = ranked
+            by_date[ranked.date] = ranked
         self.categories = dict(categories or {})
         self._components: dict[tuple[str, str, frozenset[str] | None], PairComponents] = {}
         self._texts: dict = {}  # textsim's content table for this dataset's walks
 
     def __len__(self) -> int:
-        return len(self._records)
+        by_query = (queries.values() for queries in self._index.values())
+        return sum(len(by_date) for dicts in by_query for by_date in dicts)
 
-    def __iter__(self):
-        return iter(sorted(self._records))
+    def __iter__(self) -> Iterator[RecordKey]:
+        for engine, queries in sorted(self._index.items()):
+            for query, by_date in sorted(queries.items()):
+                yield from ((engine, query, date) for date in sorted(by_date))
 
     def engines(self) -> tuple[str, ...]:
-        return tuple(sorted({k[0] for k in self._records}))
+        return tuple(sorted(self._index))
 
     def queries(self, engine: str | None = None) -> tuple[str, ...]:
-        keys = self._records if engine is None else [k for k in self._records if k[0] == engine]
-        return tuple(sorted({k[1] for k in keys}))
+        return tuple(sorted({q for queries in _pick(self._index, engine) for q in queries}))
 
     def dates(self, engine: str | None = None, query: str | None = None) -> tuple[dt.date, ...]:
-        keys = [
-            k
-            for k in self._records
-            if (engine is None or k[0] == engine) and (query is None or k[1] == query)
-        ]
-        return tuple(sorted({k[2] for k in keys}))
+        by_query = (_pick(queries, query) for queries in _pick(self._index, engine))
+        return tuple(sorted({d for dicts in by_query for by_date in dicts for d in by_date}))
 
     def get(self, engine: str, query: str, date: dt.date) -> RankedList | None:
-        return self._records.get((engine, query, date))
+        return self._index.get(engine, {}).get(query, {}).get(date)
+
+
+def _pick(index: Mapping[Any, Mapping], key: Any) -> Iterable[Mapping]:
+    """Every value of one level of the index if ``key`` is None, else only ``key``'s."""
+    return index.values() if key is None else (index.get(key, {}),)
 
 
 def _require_engines(dataset: SerpDataset, *engines: str) -> None:
-    known = set(dataset.engines())
-    missing = [e for e in engines if e not in known]
+    missing = [e for e in engines if e not in dataset._index]
     if missing:
         raise ValidationError(
             f"engine(s) not in dataset: {', '.join(sorted(missing))}; "
             f"available: {', '.join(dataset.engines())}"
         )
-
-
-def _earliest_dates(dataset: SerpDataset, engine: str) -> dict[str, dt.date]:
-    """Each of ``engine``'s queries mapped to its earliest date, in one pass."""
-    earliest: dict[str, dt.date] = {}
-    for key_engine, query, date in dataset._records:
-        if key_engine == engine and (query not in earliest or date < earliest[query]):
-            earliest[query] = date
-    return earliest
 
 
 def _at_shared_depth(list_a: RankedList, list_b: RankedList) -> tuple[RankedList, RankedList]:
@@ -346,17 +340,14 @@ def cross_period_drift(
     """
     _require_engines(dataset_old, engine)
     _require_engines(dataset_new, engine)
-    first_old = _earliest_dates(dataset_old, engine)
-    first_new = _earliest_dates(dataset_new, engine)
-    shared = sorted(first_old.keys() & first_new.keys())
+    old_lists, new_lists = dataset_old._index[engine], dataset_new._index[engine]
+    shared = sorted(old_lists.keys() & new_lists.keys())
     if not shared:
-        raise ValidationError(
-            f"datasets share no queries for engine {engine!r}"
-        )
+        raise ValidationError(f"datasets share no queries for engine {engine!r}")
 
-    dates = {q: (date_old or first_old[q], date_new or first_new[q]) for q in shared}
+    dates = {q: (date_old or min(old_lists[q]), date_new or min(new_lists[q])) for q in shared}
     cells = (
-        (q, q, (old, new), dataset_old.get(engine, q, old), dataset_new.get(engine, q, new))
+        (q, q, (old, new), old_lists[q].get(old), new_lists[q].get(new))
         for q, (old, new) in dates.items()
     )
     walked = _walk(engine, cells, lambda a, b: combined_similarity(a, b, cfg, stopwords).score)

@@ -16,6 +16,7 @@ import os
 import re
 import stat
 import string
+import sys
 import unicodedata
 import urllib.parse
 from pathlib import Path
@@ -98,14 +99,27 @@ def _data_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8; every writer writes here. The encoded text
-    replaces a regular file (through a symlink too) from a complete temporary file, so a
+    """Write ``text`` to ``path`` as UTF-8; every writer writes here. A target that is the
+    file standard output or standard error writes to (``/dev/stdout``) is written through
+    that stream, so a shell's ``>> log`` keeps its earlier lines. The encoded text replaces
+    any other regular file (through a symlink too) from a complete temporary file, so a
     failure leaves its old bytes; any other file, such as a device or FIFO, is written in place."""
     data = text.encode("utf-8")
     try:  # any error but a missing target is the one an in-place write would meet
-        mode = os.stat(path).st_mode
+        info = os.stat(path)
     except FileNotFoundError:
-        mode = None
+        info = None
+    for std in (sys.stdout, sys.stderr):
+        try:
+            same = info is not None and os.path.samestat(info, os.fstat(std.fileno()))
+        except (AttributeError, OSError, ValueError):  # no descriptor, as under capture
+            same = False
+        if same:
+            std.flush()
+            std.buffer.write(data)
+            std.buffer.flush()
+            return
+    mode = None if info is None else info.st_mode
     if mode is not None and not stat.S_ISREG(mode):
         with open(path, "wb") as stream:
             stream.write(data)

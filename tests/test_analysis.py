@@ -106,6 +106,42 @@ class TestSerpDataset:
         assert [ds.get(*key) for key in ds] == lists
 
 
+INDEX_ENGINES, INDEX_QUERIES, INDEX_DATES = ("x", "y", "z"), ("q1", "q2", "q3", "q4"), (D1, D2, D3)
+#: One list per possible key, built once: a dataset of ``keys`` holds ``INDEXED[k]`` for each.
+INDEXED = {
+    (e, q, d): make_list("ab", engine=e, query=q, date=d)
+    for e in INDEX_ENGINES for q in INDEX_QUERIES for d in INDEX_DATES
+}
+
+
+class TestIndexMatchesAScan:
+    """Every accessor of a dataset answers as a brute-force scan of its keys would, for
+    each engine and query, ``None`` and one the dataset lacks."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(keys=st.lists(st.sampled_from(sorted(INDEXED)), unique=True), data=st.data())
+    def test_accessors_equal_a_scan_of_the_keys(self, keys, data):
+        ds = SerpDataset(INDEXED[key] for key in keys)
+        assert (list(ds), len(ds)) == (sorted(keys), len(keys))
+        assert ds.engines() == tuple(sorted({e for e, _, _ in keys}))
+        for engine in (*INDEX_ENGINES, None, "w"):
+            scanned = [key for key in keys if engine in (None, key[0])]
+            assert ds.queries(engine) == tuple(sorted({q for _, q, _ in scanned}))
+            for query in (*INDEX_QUERIES, None, "q0"):
+                dates = {d for _, q, d in scanned if query in (None, q)}
+                assert ds.dates(engine, query) == tuple(sorted(dates)), (engine, query)
+                for date in (*INDEX_DATES, D1 - dt.timedelta(days=1)):
+                    key = (engine, query, date)
+                    assert ds.get(*key) is (INDEXED[key] if key in keys else None), key
+
+        if keys:
+            first = data.draw(st.integers(0, len(keys) - 1))
+            lists = [INDEXED[key] for key in keys]
+            lists.insert(data.draw(st.integers(first + 1, len(keys))), replace(lists[first]))
+            with pytest.raises(ValidationError) as info:
+                SerpDataset(lists)
+            assert str(info.value) == f"duplicate record for {keys[first]}"
+
 class TestSimilarityMatrix:
     def test_grid_values(self, grid_dataset):
         matrix = similarity_matrix(grid_dataset, "x", "y", UNIT)
