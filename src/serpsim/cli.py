@@ -27,7 +27,7 @@ import sys
 
 from . import analysis, dataset_io
 from .combined import combined_similarity
-from .errors import DatasetError, RedirectError, SerpSimError, UrlParseError
+from .errors import DatasetError, RedirectError, SerpSimError, UrlParseError, ValidationError
 from .model import DEFAULT_BOOST_WEIGHTS, DEFAULT_CONFIG, MetricConfig, SimilarityMatrix
 from .rank_metrics import (
     jaro_sim,
@@ -182,7 +182,7 @@ def _cmd_compare(args: argparse.Namespace) -> str:
         datasets = _datasets(args, *args.files)
         for path, dataset in zip(args.files, datasets):
             if len(dataset) != 1:
-                raise SerpSimError(f"{path}: expected exactly one record, found {len(dataset)}")
+                raise DatasetError(f"expected exactly one record, found {len(dataset)}", path)
         list_a, list_b = (dataset.get(*next(iter(dataset))) for dataset in datasets)
     else:
         if not (args.dataset and args.engine_a and args.engine_b and args.query and args.date):
@@ -335,6 +335,10 @@ def _cmd_import(args: argparse.Namespace) -> str:
         raise DatasetError("mapping must be a JSON object", args.mapping)
     for lineno, line in enumerate(lines, start=1):
         dataset_io._refuse_lone_surrogates(line, args.mapping, lineno)
+    try:
+        dataset_io._check_mapping(mapping)
+    except ValidationError as exc:
+        raise DatasetError(str(exc), args.mapping) from exc
     dataset = dataset_io.import_dataset(args.input, mapping, **options)
     return dataset_io.dumps_dataset(dataset)
 

@@ -32,16 +32,13 @@ from .urlnorm import RedirectCache, _text_lines, _write_text, resolve_redirects
 _MATRIX_PAIR_PREFIX = "# pair"
 
 
-def _require(obj: Mapping[str, Any], key: str, kind: type, path: str, lineno: int) -> Any:
+def _require(obj: Mapping[str, Any], key: str, kind: type) -> Any:
+    """``obj[key]`` if it is a ``kind``; else a ValidationError, which the reading loop locates."""
     if key not in obj:
-        raise DatasetError(f"missing required field {key!r}", path, lineno)
+        raise ValidationError(f"missing required field {key!r}")
     value = obj[key]
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise DatasetError(
-            f"field {key!r} must be {kind.__name__}, got {type(value).__name__}",
-            path,
-            lineno,
-        )
+        raise ValidationError(f"field {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -57,11 +54,11 @@ def _iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _parse_date(raw: str, path: str, lineno: int) -> dt.date:
+def _parse_date(raw: str) -> dt.date:
     try:
         return _iso_date(raw)
     except ValueError as exc:
-        raise DatasetError(f"bad date {raw!r}: {exc}", path, lineno) from exc
+        raise ValidationError(f"bad date {raw!r}: {exc}") from exc
 
 
 _JSON_STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -122,37 +119,34 @@ class _Load:
         self.strings: dict[str, str] = {}
         self.built: dict[tuple[str, str, str, int], SearchResult] = {}
 
-    def result(self, url: str, title: str, snippet: str, rank: int, lineno: int) -> SearchResult:
-        """A checked row's result, its URL normalized if asked. The rank is an int, so
-        a ``built`` key equals a stored one only if the row passes the result's checks."""
+    def result(self, url: str, title: str, snippet: str, rank: int) -> SearchResult:
+        """A checked row's result, its URL normalized if asked; errors are plain. The rank is an
+        int, so a ``built`` key equals a stored one only if the row passes the result's checks."""
         strings, built = self.strings, self.built
-        try:
-            if self.normalize:
-                final = self.resolved.get(url)
-                if final is None:
-                    final = resolve_redirects(url, self.redirect_cache)
-                    final = self.resolved[url] = strings.setdefault(final, final)
-                url = final
-            else:
-                url = strings.setdefault(url, url)
-            title = strings.setdefault(title, title)
-            snippet = strings.setdefault(snippet, snippet)
-            key = (url, title, snippet, rank)
-            result = built.get(key)
-            if result is None:
-                result = built[key] = SearchResult(url, title, snippet, rank)
-            return result
-        except SerpSimError as exc:
-            raise DatasetError(str(exc), self.path, lineno) from exc
+        if self.normalize:
+            final = self.resolved.get(url)
+            if final is None:
+                final = resolve_redirects(url, self.redirect_cache)
+                final = self.resolved[url] = strings.setdefault(final, final)
+            url = final
+        else:
+            url = strings.setdefault(url, url)
+        title = strings.setdefault(title, title)
+        snippet = strings.setdefault(snippet, snippet)
+        key = (url, title, snippet, rank)
+        result = built.get(key)
+        if result is None:
+            result = built[key] = SearchResult(url, title, snippet, rank)
+        return result
 
     def category(self, query: str, category: str, lineno: int) -> None:
-        """Record ``query``'s category; DatasetError if an earlier line gave another."""
+        """Record ``query``'s category from ``lineno``; a plain ValidationError if it differs."""
         known = self.categories.get(query)
         if known is None:
             self.categories[query] = (category, lineno)
         elif known[0] != category:
             problem = f"query {query!r} has category {category!r}, but line {known[1]} gave"
-            raise DatasetError(f"{problem} {known[0]!r}", self.path, lineno)
+            raise ValidationError(f"{problem} {known[0]!r}")
 
     def dataset(self) -> SerpDataset:
         """Dedup, truncate to ``depth`` (None: each list's own length) and re-rank."""
@@ -189,39 +183,40 @@ def load_dataset(
     load = _Load(path, normalize, redirect_cache, strict, expected_n)
     where, groups = load.path, load.groups
     for lineno, obj in _rows(path):
-        engine = _require(obj, "engine", str, where, lineno)
-        query = _require(obj, "query", str, where, lineno)
-        date = _parse_date(_require(obj, "date", str, where, lineno), where, lineno)
-        raw = obj.get("results")
-        if not isinstance(raw, list) or not raw:
-            raise DatasetError("field 'results' must be a non-empty array", where, lineno)
-        results: list[SearchResult] = []
-        for item in raw:
-            if type(item) is not dict:
-                raise DatasetError("each result must be a JSON object", where, lineno)
-            url = item.get("url")  # _require only to name what is wrong
-            if type(url) is not str:
-                url = _require(item, "url", str, where, lineno)
-            rank = item.get("rank")
-            if type(rank) is not int:
-                rank = _require(item, "rank", int, where, lineno)
-            title = item.get("title", "")
-            snippet = item.get("snippet", "")
-            if type(title) is not str or type(snippet) is not str:
-                raise DatasetError("title and snippet must be strings", where, lineno)
-            results.append(load.result(url, title, snippet, rank, lineno))
-        if (engine, query, date) in groups:
-            raise DatasetError(
-                f"duplicate record for engine={engine!r} query={query!r} date={date}",
-                where,
-                lineno,
-            )
-        groups[(engine, query, date)] = (lineno, results)
-        category = obj.get("category")
-        if category is not None:
-            if not isinstance(category, str):
-                raise DatasetError("field 'category' must be a string", where, lineno)
-            load.category(query, category, lineno)
+        try:
+            engine = _require(obj, "engine", str)
+            query = _require(obj, "query", str)
+            date = _parse_date(_require(obj, "date", str))
+            raw = obj.get("results")
+            if not isinstance(raw, list) or not raw:
+                raise ValidationError("field 'results' must be a non-empty array")
+            results: list[SearchResult] = []
+            for item in raw:
+                if type(item) is not dict:
+                    raise ValidationError("each result must be a JSON object")
+                url = item.get("url")  # _require only to name what is wrong
+                if type(url) is not str:
+                    url = _require(item, "url", str)
+                rank = item.get("rank")
+                if type(rank) is not int:
+                    rank = _require(item, "rank", int)
+                title = item.get("title", "")
+                snippet = item.get("snippet", "")
+                if type(title) is not str or type(snippet) is not str:
+                    raise ValidationError("title and snippet must be strings")
+                results.append(load.result(url, title, snippet, rank))
+            if (engine, query, date) in groups:
+                raise ValidationError(
+                    f"duplicate record for engine={engine!r} query={query!r} date={date}"
+                )
+            groups[(engine, query, date)] = (lineno, results)
+            category = obj.get("category")
+            if category is not None:
+                if not isinstance(category, str):
+                    raise ValidationError("field 'category' must be a string")
+                load.category(query, category, lineno)
+        except SerpSimError as exc:
+            raise DatasetError(str(exc), where, lineno) from exc
 
     if not groups:
         raise DatasetError("dataset contains no records", where)
@@ -321,24 +316,23 @@ def _matrix_from_lines(lines: Iterable[str], source: str) -> SimilarityMatrix:
     for lineno, line in enumerate(lines, start=3):
         if not line.strip():
             continue
-        fields = line.split("\t")
-        if len(fields) != len(queries) + 1:
-            raise DatasetError(
-                f"expected {len(queries) + 1} columns, got {len(fields)}", source, lineno
-            )
-        day = _parse_date(fields[0], source, lineno)
-        if day in days:
-            raise DatasetError(f"repeated date {day}, first on line {days[day]}", source, lineno)
-        days[day] = lineno
-        row: list[float | None] = []
-        for cell in fields[1:]:
-            try:
-                row.append(None if cell == "NA" else _unit_cell(float(cell)))
-            except ValueError as exc:
-                raise DatasetError(f"bad cell value {cell!r}", source, lineno) from exc
-            except ValidationError as exc:
-                raise DatasetError(str(exc), source, lineno) from exc
-        values.append(tuple(row))
+        try:
+            fields = line.split("\t")
+            if len(fields) != len(queries) + 1:
+                raise ValidationError(f"expected {len(queries) + 1} columns, got {len(fields)}")
+            day = _parse_date(fields[0])
+            if day in days:
+                raise ValidationError(f"repeated date {day}, first on line {days[day]}")
+            days[day] = lineno
+            row: list[float | None] = []
+            for cell in fields[1:]:
+                try:
+                    row.append(None if cell == "NA" else _unit_cell(float(cell)))
+                except ValueError as exc:
+                    raise ValidationError(f"bad cell value {cell!r}") from exc
+            values.append(tuple(row))
+        except SerpSimError as exc:
+            raise DatasetError(str(exc), source, lineno) from exc
     return SimilarityMatrix(
         engine_pair=engine_pair, days=tuple(days), queries=queries, values=tuple(values)
     )
@@ -353,36 +347,57 @@ _REQUIRED_FIELDS = ("engine", "query", "date", "rank", "url")
 _MAPPED_FIELDS = _REQUIRED_FIELDS + ("title", "snippet", "category")
 
 
-def _reader(
-    spec: Any, field: str, path: str, text: bool = False
-) -> Callable[[Mapping[str, Any], int], Any]:
-    """A function of ``(row, lineno)`` that reads one field from a row, built once
-    from its mapping spec, which ``import_dataset`` has checked: a source key, or
-    {"const": value}. A ``text`` field that is not a str goes through ``_text``."""
+def _reader(spec: Any, field: str, text: bool = False) -> Callable[[Mapping[str, Any]], Any]:
+    """A function of a row that reads one field, built once from its checked mapping spec: a
+    source key, or {"const": value}. A ``text`` field that is not a str goes through ``_text``.
+    It raises a plain ValidationError, which the loop over the rows names at its line."""
     if isinstance(spec, dict):
         value = spec["const"]
         if text and type(value) is not str:
-            return lambda row, lineno: _text(value, field, path, lineno)
-        return lambda row, lineno: value
+            return lambda row: _text(value, field)
+        return lambda row: value
 
-    def read(row: Mapping[str, Any], lineno: int) -> Any:
+    def read(row: Mapping[str, Any]) -> Any:
         try:
             value = row[spec]
         except KeyError:
-            problem = f"source field {spec!r} (for {field!r}) not found"
-            raise DatasetError(problem, path, lineno) from None
-        return value if not text or type(value) is str else _text(value, field, path, lineno)
+            raise ValidationError(f"source field {spec!r} (for {field!r}) not found") from None
+        return value if not text or type(value) is str else _text(value, field)
 
     return read
 
 
-def _text(value: Any, field: str, path: str, lineno: int) -> str:
+def _text(value: Any, field: str) -> str:
     """A mapped text field that is not a str: a number is written as text,
     null, an object or an array is refused."""
     if value is None or isinstance(value, (dict, list)):
         problem = f"must be a string or a number, got {type(value).__name__}"
-        raise DatasetError(f"field {field!r} {problem}", path, lineno)
+        raise ValidationError(f"field {field!r} {problem}")
     return str(value)
+
+
+def _check_mapping(mapping: Mapping[str, Any]) -> None:
+    """ValidationError for the first problem of an import mapping, before any row is read."""
+    for key in mapping:
+        if key not in _MAPPED_FIELDS and key != "date_format":
+            known = ", ".join(_MAPPED_FIELDS + ("date_format",))
+            raise ValidationError(f"import mapping has unknown field {key!r} (known: {known})")
+    for required in _REQUIRED_FIELDS:
+        if required not in mapping:
+            raise ValidationError(f"import mapping lacks required field {required!r}")
+    for field in _MAPPED_FIELDS:
+        spec = mapping.get(field, "")  # an absent optional field has nothing to check
+        if not isinstance(spec, str) and not (isinstance(spec, dict) and set(spec) == {"const"}):
+            raise ValidationError(
+                f"import mapping field {field!r} must be a source key or "
+                f"{{\"const\": value}}, got {spec!r}"
+            )
+    date_format = mapping.get("date_format")
+    if date_format is not None and not isinstance(date_format, str):
+        raise ValidationError(
+            f"import mapping field 'date_format' must be a string, "
+            f"got {type(date_format).__name__}"
+        )
 
 
 def import_dataset(
@@ -407,79 +422,63 @@ def import_dataset(
     and redirect handling, and the depth of each list, match
     :func:`load_dataset`. Errors name the file and line.
     """
-    for key in mapping:
-        if key not in _MAPPED_FIELDS and key != "date_format":
-            known = ", ".join(_MAPPED_FIELDS + ("date_format",))
-            raise ValidationError(f"import mapping has unknown field {key!r} (known: {known})")
-    for required in _REQUIRED_FIELDS:
-        if required not in mapping:
-            raise ValidationError(f"import mapping lacks required field {required!r}")
-    for field in _MAPPED_FIELDS:
-        spec = mapping.get(field, "")  # an absent optional field has nothing to check
-        if not isinstance(spec, str) and not (isinstance(spec, dict) and set(spec) == {"const"}):
-            raise ValidationError(
-                f"import mapping field {field!r} must be a source key or "
-                f"{{\"const\": value}}, got {spec!r}"
-            )
-    date_format = mapping.get("date_format")
-    if date_format is not None and not isinstance(date_format, str):
-        raise ValidationError(
-            f"import mapping field 'date_format' must be a string, "
-            f"got {type(date_format).__name__}"
-        )
-
+    _check_mapping(mapping)
     path = Path(path)
     load = _Load(path, normalize, redirect_cache, strict, expected_n)
     where, groups = load.path, load.groups
     read_date, read_rank, read_url = (
-        _reader(mapping[field], field, where) for field in ("date", "rank", "url")
+        _reader(mapping[field], field) for field in ("date", "rank", "url")
     )
     read_engine, read_query, read_title, read_snippet = (
-        _reader(mapping.get(field, {"const": ""}), field, where, text=True)
+        _reader(mapping.get(field, {"const": ""}), field, text=True)
         for field in ("engine", "query", "title", "snippet")
     )
     category_spec = mapping.get("category")
     read_category = (
-        None if category_spec is None else _reader(category_spec, "category", where, text=True)
+        None if category_spec is None else _reader(category_spec, "category", text=True)
     )
+    date_format = mapping.get("date_format")
 
     dates: dict[str, dt.date] = {}  # each date text parsed so far; a bad one is not stored
     for lineno, obj in _rows(path):
-        engine = read_engine(obj, lineno)
-        query = read_query(obj, lineno)
-        raw_date = read_date(obj, lineno)
-        date_text = str(raw_date)
-        date = dates.get(date_text)
-        if date is None:
-            if date_format:
+        try:
+            engine = read_engine(obj)
+            query = read_query(obj)
+            raw_date = read_date(obj)
+            date_text = str(raw_date)
+            date = dates.get(date_text)
+            if date is None:
+                if date_format:
+                    try:
+                        date = dt.datetime.strptime(date_text, date_format).date()
+                    except ValueError as exc:
+                        raise ValidationError(f"bad date {raw_date!r}: {exc}") from exc
+                else:
+                    date = _parse_date(date_text)
+                dates[date_text] = date
+            rank = read_rank(obj)
+            if type(rank) is not int:
+                if isinstance(rank, bool) or isinstance(rank, float) and not rank.is_integer():
+                    raise ValidationError(f"bad rank {rank!r}")
                 try:
-                    date = dt.datetime.strptime(date_text, date_format).date()
-                except ValueError as exc:
-                    raise DatasetError(f"bad date {raw_date!r}: {exc}", where, lineno) from exc
-            else:
-                date = _parse_date(date_text, where, lineno)
-            dates[date_text] = date
-        rank = read_rank(obj, lineno)
-        if type(rank) is not int:
-            if isinstance(rank, bool) or isinstance(rank, float) and not rank.is_integer():
-                raise DatasetError(f"bad rank {rank!r}", where, lineno)
-            try:
-                rank = int(rank)
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(f"bad rank {rank!r}", where, lineno) from exc
-        url = read_url(obj, lineno)
-        if not isinstance(url, str):
-            raise DatasetError(f"field 'url' must be str, got {type(url).__name__}", where, lineno)
-        title = read_title(obj, lineno)
-        snippet = read_snippet(obj, lineno)
-        if read_category is not None:
-            load.category(query, read_category(obj, lineno), lineno)
-        result = load.result(url, title, snippet, rank, lineno)
-        key = (engine, query, date)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (lineno, [])
-        group[1].append(result)
+                    rank = int(rank)
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(f"bad rank {rank!r}") from exc
+            url = read_url(obj)
+            if not isinstance(url, str):
+                raise ValidationError(f"field 'url' must be str, got {type(url).__name__}")
+            title = read_title(obj)
+            snippet = read_snippet(obj)
+            if read_category is not None:
+                load.category(query, read_category(obj), lineno)
+            result = load.result(url, title, snippet, rank)
+            key = (engine, query, date)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (lineno, [])
+            group[1].append(result)
+        except SerpSimError as exc:
+            raise DatasetError(str(exc), where, lineno) from exc
 
     if not groups:
         raise DatasetError("no records to import", where)

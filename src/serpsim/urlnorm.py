@@ -22,7 +22,7 @@ import urllib.parse
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .errors import DatasetError, RedirectError, UrlParseError
+from .errors import DatasetError, RedirectError, SerpSimError, UrlParseError, ValidationError
 
 DEFAULT_PORTS = {"http": 80, "https": 443, "ftp": 21, "ws": 80, "wss": 443}
 
@@ -340,13 +340,11 @@ class RedirectCache:
         cache = cls()
         for lineno, line in _data_lines(_text_lines(path)):
             fields = line.split("\t")
-            if len(fields) != 2:
-                raise DatasetError(
-                    f"expected 'source<TAB>target', got {line!r}", str(path), lineno
-                )
             try:
+                if len(fields) != 2:
+                    raise ValidationError(f"expected 'source<TAB>target', got {line!r}")
                 cache.put(fields[0].strip(), fields[1].strip())
-            except UrlParseError as exc:
+            except SerpSimError as exc:
                 raise DatasetError(str(exc), str(path), lineno) from exc
         return cache
 

@@ -12,6 +12,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from serpsim import (
     DatasetError,
@@ -897,6 +899,25 @@ class TestImport:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("edit, problem", [
+        ({"titel": "heading"}, "import mapping has unknown field 'titel' (known: engine, query, "
+                               "date, rank, url, title, snippet, category, date_format)"),
+        ({"url": None}, "import mapping lacks required field 'url'"),
+        ({"title": 5}, "import mapping field 'title' must be a source key or "
+                       "{\"const\": value}, got 5"),
+        ({"date_format": 5}, "import mapping field 'date_format' must be a string, got int"),
+    ], ids=["unknown", "missing", "spec", "date-format"])
+    def test_every_mapping_error_names_the_mapping_file(
+        self, data_dir, tmp_path, capsys, edit, problem
+    ):
+        mapping = json.loads((data_dir / "alien_mapping.json").read_text(encoding="utf-8"))
+        mapping.update(edit)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({k: v for k, v in mapping.items() if v is not None}))
+        argv = ["import", "--input", str(data_dir / "alien.jsonl"), "--mapping", str(path)]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {problem}\n")
+
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -1302,3 +1323,95 @@ def test_bad_byte_past_the_first_read_chunk_names_its_line(tmp_path):
     with pytest.raises(DatasetError) as refused:
         load_dataset(path)
     assert (refused.value.path, refused.value.line) == (str(path), len(lines))
+
+
+#: A valid file for each reader of a command's input, and for each the command that reads
+#: it, where an input's name stands for its path. No dataset names an engine but ``x``,
+#: so that no valid line left by a mutation lacks the engine asked for.
+_VALID_INPUTS = {
+    "dataset.jsonl": dumps_dataset(SerpDataset([
+        make_list("abc", engine="x", query=query, date=date)
+        for query in ("alpha query", "beta query") for date in (D1, D2)
+    ])).encode(),
+    "matrix.tsv": (b"# pair\tx\ty\ndate\tq1\tq2\n"
+                   b"2019-07-01\t0.5000\tNA\n2019-07-02\t1.0000\t0.2500\n"),
+    "redirects.tsv": (DATA_DIR / "redirects.tsv").read_bytes(),
+    "urls.txt": (DATA_DIR / "urls.txt").read_bytes(),
+    "stopwords.txt": b"# words to drop\nsolar\npanels\n",
+    "rows.jsonl": (DATA_DIR / "alien.jsonl").read_bytes(),
+    "mapping.json": (DATA_DIR / "alien_mapping.json").read_bytes(),
+}
+_X_MATRIX = ("matrix", "--dataset", "dataset.jsonl", "--engine-a", "x", "--engine-b", "x")
+_IMPORT = ("import", "--input", "rows.jsonl", "--mapping", "mapping.json")
+_READING_COMMANDS = {
+    "dataset.jsonl": _X_MATRIX,
+    "matrix.tsv": ("summary", "--matrix", "matrix.tsv"),
+    "redirects.tsv": _X_MATRIX + ("--redirects", "redirects.tsv"),
+    "urls.txt": ("normalize-urls", "urls.txt"),
+    "stopwords.txt": _X_MATRIX + ("--stopwords", "stopwords.txt"),
+    "rows.jsonl": _IMPORT,
+    "mapping.json": _IMPORT,
+}
+#: The library reader of each input that has one.
+_LIBRARY_READERS = {
+    "dataset.jsonl": load_dataset,
+    "matrix.tsv": read_matrix,
+    "redirects.tsv": RedirectCache.from_file,
+    "stopwords.txt": load_stopwords,
+}
+#: Verdicts about a whole matrix, which no one line of a file causes.
+_MATRIX_VERDICTS = (
+    "error: matrix has no scored cells to summarize\n",
+    "error: matrix has no rows to aggregate\n",
+)
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` with one mutation: a flipped byte, a cut, 100,000 ``[``, a ``\\ud800``
+    escape, CR for every LF, or one inserted ``"``, TAB, LF or invalid byte."""
+    how = draw(st.sampled_from(["flip", "cut", "deep", "surrogate", "cr", "insert"]))
+    if how == "cr":
+        return data.replace(b"\n", b"\r")
+    at = draw(st.integers(0, len(data) - (how == "flip")))
+    if how == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1:]
+    if how == "cut":
+        return data[:at]
+    piece = {"deep": b"[" * 100_000, "surrogate": b"\\ud800"}.get(how)
+    return data[:at] + (piece or draw(st.sampled_from([b'"', b"\t", b"\n", b"\xff"]))) + data[at:]
+
+
+class TestMutatedInputs:
+    @settings(max_examples=1000, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from(sorted(_VALID_INPUTS)), data=st.data())
+    def test_exit_two_names_an_input_and_leaves_output(self, tmp_path, capsys, name, data):
+        for other, valid in _VALID_INPUTS.items():
+            (tmp_path / other).write_bytes(valid)
+        (tmp_path / name).write_bytes(data.draw(_mutated(_VALID_INPUTS[name]), label="mutant"))
+        paths = {other: str(tmp_path / other) for other in _VALID_INPUTS}
+        argv = [paths.get(arg, arg) for arg in _READING_COMMANDS[name]]
+        inputs = [path for path in paths.values() if path in argv]
+        out = tmp_path / "out"
+        out.write_bytes(b"known bytes\n")
+        if argv[0] != "normalize-urls":
+            argv += ["-o", str(out)]
+        capsys.readouterr()
+        code = run_cli(argv)
+        stdout, stderr = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 0:
+            assert stderr == ""
+            return
+        assert stdout == "" and out.read_bytes() == b"known bytes\n"
+        assert stderr.startswith("error: ") and stderr.endswith("\n") and stderr.count("\n") == 1
+        assert any(stderr.startswith(f"error: {path}:") for path in inputs) or (
+            stderr in _MATRIX_VERDICTS
+        ), stderr
+        read = _LIBRARY_READERS.get(name)
+        if read is not None:
+            try:
+                read(paths[name])
+            except DatasetError as exc:
+                assert stderr == f"error: {exc}\n"

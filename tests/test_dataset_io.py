@@ -716,7 +716,10 @@ def _reference_import_rows(path, mapping):
                 except ValueError as exc:
                     raise DatasetError(f"bad date {raw_date!r}: {exc}", where, lineno) from exc
             else:
-                date = dataset_io._parse_date(date_text, where, lineno)
+                try:
+                    date = dataset_io._parse_date(date_text)
+                except ValidationError as exc:
+                    raise DatasetError(str(exc), where, lineno) from exc
             dates[date_text] = date
         raw_rank = _reference_mapped_value(obj, rank_spec, "rank", where, lineno)
         if isinstance(raw_rank, bool) or isinstance(raw_rank, float) and not raw_rank.is_integer():
@@ -739,7 +742,10 @@ def _reference_import_rows(path, mapping):
             if known != category:
                 problem = f"query {query!r} has category {category!r}, but line {first} gave"
                 raise DatasetError(f"{problem} {known!r}", where, lineno)
-        result = load.result(url, title, snippet, rank, lineno)
+        try:
+            result = load.result(url, title, snippet, rank)
+        except ValidationError as exc:
+            raise DatasetError(str(exc), where, lineno) from exc
         groups.setdefault((engine, query, date), (lineno, []))[1].append(result)
     if not groups:
         raise DatasetError("no records to import", where)
